@@ -29,7 +29,6 @@ from .paths import (
     LatticePath,
     classify,
     enumerate_prefixes,
-    make_path,
     path_stats,
 )
 from .perms import (
@@ -93,7 +92,6 @@ __all__ = [
     "is_centrosymmetric",
     "left_half_word",
     "ltr_minima",
-    "make_path",
     "minima_decomposition",
     "odd_embed",
     "odd_project",

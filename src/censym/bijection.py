@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .perms import (
     InvalidPermutation,
     Permutation,
+    VerificationError,
     avoids_pattern,
     contains_pattern,
     descent_count,
@@ -29,10 +30,6 @@ from .perms import (
     right_connected_components,
 )
 from .paths import InvalidPath, LatticePath, enumerate_prefixes
-
-
-class VerificationError(Exception):
-    """A theorem-backed consistency check failed for a concrete input."""
 
 
 @dataclass(frozen=True)
@@ -114,10 +111,11 @@ def _phi_blocks(w):
         delete = k - l1 - 1
     if fragments:
         head = fragments[0]
-        assert "D" not in head[:delete], "removed steps must all be ups"
+        if "D" in head[:delete]:
+            raise VerificationError("removed steps must all be ups")
         fragments[0] = head[delete:]
-    else:
-        assert delete == 0
+    elif delete:
+        raise VerificationError(f"last block deletes {delete} steps of an empty path")
     return [emitted] + fragments, [delete] + deletions, [tiny] + tiny_flags
 
 
@@ -132,7 +130,8 @@ def phi_trace(p: Permutation) -> PhiTrace:
     """phi with per-block bookkeeping (validates membership)."""
     dec = minima_decomposition(p)
     fragments, deletions, tiny_flags = _phi_blocks(p.values[: len(p) // 2])
-    assert tuple(tiny_flags) == dec.tiny_flags
+    if tuple(tiny_flags) != dec.tiny_flags:
+        raise VerificationError(f"phi and the minima decomposition disagree on {p}")
     blocks = tuple(
         PhiBlock(minimum=x, word=wi, tiny=t, emitted=f, deleted=d)
         for (x, wi), t, f, d in zip(dec.blocks, tiny_flags, fragments, deletions)

@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perm-stats", help="statistics of one permutation")
     p.add_argument("perm", help="space/comma-separated 1-based values")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=_cmd_perm_stats)
 
     p = sub.add_parser("phi", help="map a member to its Dyck prefix")
@@ -154,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="coefficients of a named series")
     p.add_argument("--name", choices=NAMED_SERIES, required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -19,7 +19,7 @@ from itertools import permutations as _all_permutations
 
 from .bijection import phi
 from .paths import classify
-from .perms import Permutation, descent_count, lis_length, word_contains_pattern
+from .perms import Permutation, descent_count, word_contains_pattern
 
 GENERAL_MAX_LENGTH = 9
 DEFAULT_MAX_EVEN_LENGTH = 16
@@ -30,12 +30,25 @@ class CapExceeded(ValueError):
     """Requested enumeration is larger than the configured budget."""
 
 
-def max_even_length() -> int:
-    """Cap on centrosymmetric even lengths (odd may go one further).
+def length_cap(default: int) -> int:
+    """The even length set by the environment variable CENSYM_MAX_ORACLE_N.
 
-    Configured through the environment variable CENSYM_MAX_ORACLE_N.
+    Unset or empty means default; any other value must be a non-negative
+    decimal integer.
     """
-    return int(os.environ.get("CENSYM_MAX_ORACLE_N", DEFAULT_MAX_EVEN_LENGTH))
+    text = os.environ.get("CENSYM_MAX_ORACLE_N", "")
+    if not text:
+        return default
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(
+            f"CENSYM_MAX_ORACLE_N must be a non-negative decimal integer, not {text!r}"
+        )
+    return int(text)
+
+
+def max_even_length() -> int:
+    """Cap on centrosymmetric even lengths (odd may go one further)."""
+    return length_cap(DEFAULT_MAX_EVEN_LENGTH)
 
 
 @dataclass(frozen=True)
@@ -86,12 +99,6 @@ def _check_cap(spec: ClassSpec):
         )
 
 
-def _contains(values, pattern) -> bool:
-    if pattern == (1, 2, 3):
-        return lis_length(values) >= 3
-    return word_contains_pattern(values, pattern)
-
-
 def _centro_members(length: int, avoid):
     """Centrosymmetric permutations from first-half choices, filtered."""
     n = length // 2
@@ -107,7 +114,7 @@ def _centro_members(length: int, avoid):
             values = tuple(half) + middle + tuple(
                 length + 1 - v for v in reversed(half)
             )
-            if avoid is None or not _contains(values, avoid):
+            if avoid is None or not word_contains_pattern(values, avoid):
                 out.append(Permutation(values))
             return
         for v in range(1, length + 1):
@@ -141,7 +148,7 @@ def _centro_members(length: int, avoid):
 def _general_members(length: int, avoid):
     out = []
     for values in _all_permutations(range(1, length + 1)):
-        if avoid is None or not _contains(values, avoid):
+        if avoid is None or not word_contains_pattern(values, avoid):
             out.append(Permutation(values))
     return out
 

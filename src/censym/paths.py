@@ -113,10 +113,6 @@ class LatticePath:
         return r == 0 or (r == 1 and self.final_height == 0)
 
 
-def make_path(text: str) -> LatticePath:
-    return LatticePath(text)
-
-
 def path_stats(path: LatticePath) -> dict:
     return {
         "height": path.final_height,

@@ -14,6 +14,10 @@ class InvalidPermutation(ValueError):
     """Input is not a permutation or lacks a property an operation requires."""
 
 
+class VerificationError(Exception):
+    """A theorem-backed consistency check failed for a concrete input."""
+
+
 class Permutation:
     """A permutation of {1, ..., n} in one-line notation.
 
@@ -123,12 +127,16 @@ def lis_length(seq) -> int:
 def word_contains_pattern(word, pattern) -> bool:
     """Classical containment for a word of distinct integers.
 
-    Pruned backtracking over positions: an occurrence is grown left to
-    right and every partial choice must already be order-isomorphic to the
-    corresponding pattern prefix.
+    The pattern 123 gets a fast path (longest increasing subsequence of
+    length 3).  Everything else goes through pruned backtracking over
+    positions: an occurrence is grown left to right and every partial
+    choice must already be order-isomorphic to the corresponding pattern
+    prefix.
     """
-    word = tuple(word)
     pattern = tuple(pattern)
+    if pattern == (1, 2, 3):
+        return lis_length(word) >= 3
+    word = tuple(word)
     n, k = len(word), len(pattern)
     if k == 0:
         return True
@@ -157,12 +165,9 @@ def word_contains_pattern(word, pattern) -> bool:
 def contains_pattern(p: Permutation, pattern) -> bool:
     """Does p contain the pattern as an order-isomorphic subsequence?
 
-    The pattern 123 gets a fast path (longest increasing subsequence of
-    length 3); everything else goes through backtracking.
+    The pattern is validated as a permutation first.
     """
     pat = pattern if isinstance(pattern, Permutation) else Permutation(pattern)
-    if pat.values == (1, 2, 3):
-        return lis_length(p.values) >= 3
     return word_contains_pattern(p.values, pat.values)
 
 
@@ -326,8 +331,9 @@ def minima_decomposition(p: Permutation) -> MinimaDecomposition:
             removed.add(v)
             removed.add(n2 + 1 - v)
         alphabet = tuple(a for a in alphabet if a not in removed)
+        if len(alphabets[-1]) - len(alphabet) != 2 + 2 * len(wi):
+            raise VerificationError(f"block {x} of {p} removes a value twice")
         alphabets.append(alphabet)
-        assert len(alphabets[-2]) - len(alphabet) == 2 + 2 * len(wi)
 
     return MinimaDecomposition(
         blocks=tuple(blocks),

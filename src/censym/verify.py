@@ -1,12 +1,11 @@
 """Verification suites: perm, path, bijection, series, all.
 
-Each suite replays its module's invariants over exhaustive ranges and
-reports per-check counts with the first counterexample on failure.
-Known printed-form discrepancies are listed separately and never fail
-a run.
+Each invariant is one entry of ``CHECKS``, which both ``run_suite`` and
+the tests run over exhaustive ranges; reports give per-check counts with
+the first counterexample on failure.  Known printed-form discrepancies
+are listed separately and never fail a run.
 """
 
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,11 +29,6 @@ T_ROWS_FROZEN = (
     (0, 0, 0, 6, 20, 28, 15, 1),
     (0, 0, 0, 0, 10, 50, 85, 75, 31, 1),
 )
-
-
-def suite_length_cap() -> int:
-    value = os.environ.get("CENSYM_MAX_ORACLE_N")
-    return int(value) if value else DEFAULT_SUITE_LENGTH
 
 
 @dataclass
@@ -80,21 +74,25 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _suite_perm(max_n: int) -> SuiteReport:
-    report = SuiteReport("perm", max_n)
-    cap_n = min(max_n, suite_length_cap() // 2)
+# A check takes (max_n, cap, seed, notes): the size bound, the even length
+# where exhaustive enumeration stops, the seed of the randomized check and
+# a list for expected paper discrepancies.  It returns (failures, count).
 
+
+def _centro_count(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         spec = oracle.ClassSpec(2 * n, centrosymmetric=True)
         members = list(oracle.enumerate_class(spec))
         if len(members) != 2**n * factorial(n):
             failures.append(f"|C_{2 * n}| = {len(members)}")
         count += 1
-    report.add("centrosymmetric count 2^n n!", failures, count)
+    return failures, count
 
+
+def _count_123(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         got = sum(
             1
             for _ in oracle.enumerate_class(
@@ -104,10 +102,12 @@ def _suite_perm(max_n: int) -> SuiteReport:
         if got != comb(2 * n, n):
             failures.append(f"|C_{2 * n}(123)| = {got}, expected {comb(2 * n, n)}")
         count += 1
-    report.add("123-avoiding count C(2n, n)", failures, count)
+    return failures, count
 
+
+def _count_132(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         got = sum(
             1
             for _ in oracle.enumerate_class(
@@ -117,29 +117,35 @@ def _suite_perm(max_n: int) -> SuiteReport:
         if got != 2**n:
             failures.append(f"|C_{2 * n}(132)| = {got}, expected {2 ** n}")
         count += 1
-    report.add("132-avoiding count 2^n", failures, count)
+    return failures, count
 
+
+def _mirror_descents(max_n, cap, seed, notes):
     failures, count = [], 0
-    for m in range(min(2 * max_n, suite_length_cap()) + 1):
+    for m in range(min(2 * max_n, cap) + 1):
         for p in oracle.enumerate_class(oracle.ClassSpec(m, centrosymmetric=True)):
             dset = set(perms.descent_set(p))
             if any((m - i) not in dset for i in dset):
                 failures.append(f"asymmetric descent set for {p}")
             count += 1
-    report.add("mirror-symmetric descent sets", failures, count)
+    return failures, count
 
+
+def _descents_from_half(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         for p in oracle.enumerate_class(
             oracle.ClassSpec(2 * n, centrosymmetric=True)
         ):
             if perms.descents_from_half(p) != perms.descent_count(p):
                 failures.append(f"half-word descent count wrong for {p}")
             count += 1
-    report.add("descents recoverable from the first half", failures, count)
+    return failures, count
 
+
+def _minima_decomposition(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         for p in bijection.generate_c123_even(2 * n):
             dec = perms.minima_decomposition(p)
             flags = dec.tiny_flags
@@ -152,25 +158,22 @@ def _suite_perm(max_n: int) -> SuiteReport:
             if tuple(rebuilt) != perms.left_half_word(p):
                 failures.append(f"decomposition does not reassemble for {p}")
             count += 1
-    report.add("minima decomposition well formed", failures, count)
-
-    return report
+    return failures, count
 
 
-def _suite_path(max_n: int) -> SuiteReport:
-    report = SuiteReport("path", max_n)
-    max_len = min(2 * max_n, suite_length_cap())
-
+def _prefix_count(max_n, cap, seed, notes):
     failures, count = [], 0
-    for m in range(0, max_len + 1, 2):
+    for m in range(0, min(2 * max_n, cap) + 1, 2):
         got = sum(1 for _ in paths.enumerate_prefixes(m))
         if got != comb(m, m // 2):
             failures.append(f"{got} prefixes of length {m}")
         count += 1
-    report.add("prefix count C(2n, n)", failures, count)
+    return failures, count
 
+
+def _dyck_count(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(max_len // 2 + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         got = sum(
             1 for p in paths.enumerate_prefixes(2 * n) if p.is_dyck_path
         )
@@ -178,10 +181,12 @@ def _suite_path(max_n: int) -> SuiteReport:
         if got != catalan:
             failures.append(f"{got} Dyck paths of length {2 * n}")
         count += 1
-    report.add("Dyck path count Catalan(n)", failures, count)
+    return failures, count
 
+
+def _classification(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(max_len // 2 + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         for p in paths.enumerate_prefixes(2 * n):
             c = paths.classify(p)
             kinds = (c.is_dyck_path, c.is_elevated and not c.is_dyck_path)
@@ -204,10 +209,12 @@ def _suite_path(max_n: int) -> SuiteReport:
             ):
                 failures.append(f"bad elevated-proper: {p}")
             count += 1
-    report.add("classification trichotomy and split", failures, count)
+    return failures, count
 
+
+def _heights(max_n, cap, seed, notes):
     failures, count = [], 0
-    for m in range(0, max_len + 1, 2):
+    for m in range(0, min(2 * max_n, cap) + 1, 2):
         for p in paths.enumerate_prefixes(m):
             h = p.heights()
             if h[-1] != p.final_height or min(h) < 0:
@@ -216,17 +223,12 @@ def _suite_path(max_n: int) -> SuiteReport:
             if zeros != p.returns:
                 failures.append(f"return count wrong for {p}")
             count += 1
-    report.add("heights, final height, returns agree", failures, count)
-
-    return report
+    return failures, count
 
 
-def _suite_bijection(max_n: int) -> SuiteReport:
-    report = SuiteReport("bijection", max_n)
-    cap_n = min(max_n, suite_length_cap() // 2)
-
+def _round_trip_paths(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         seen = set()
         for path in paths.enumerate_prefixes(2 * n):
             p = bijection.phi_inverse(path)
@@ -236,28 +238,34 @@ def _suite_bijection(max_n: int) -> SuiteReport:
             count += 1
         if len(seen) != comb(2 * n, n):
             failures.append(f"phi_inverse not injective at 2n = {2 * n}")
-    report.add("round trip path -> member -> path", failures, count)
+    return failures, count
 
+
+def _round_trip_members(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         for p in bijection.generate_c123_even(2 * n):
             path = bijection.phi(p)
             if bijection.phi_inverse(path) != p:
                 failures.append(f"phi_inverse(phi({p})) differs")
             count += 1
-    report.add("round trip member -> path -> member", failures, count)
+    return failures, count
 
+
+def _structural_generator(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         structural = {p.values for p in bijection.generate_c123_structural(2 * n)}
         via_paths = {p.values for p in bijection.generate_c123_even(2 * n)}
         if structural != via_paths:
             failures.append(f"structural generator mismatch at 2n = {2 * n}")
         count += 1
-    report.add("structural generator matches inverse image", failures, count)
+    return failures, count
 
+
+def _final_height(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         for p in bijection.generate_c123_even(2 * n):
             dec = perms.minima_decomposition(p)
             path = bijection.phi(p)
@@ -269,20 +277,24 @@ def _suite_bijection(max_n: int) -> SuiteReport:
             if path.is_dyck_path != no_tiny or no_tiny != half_high:
                 failures.append(f"Dyck iff no tiny iff high half fails for {p}")
             count += 1
-    report.add("final height 2#tiny; Dyck iff no tiny minima", failures, count)
+    return failures, count
 
+
+def _components_vs_returns(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         for p in bijection.generate_c123_even(2 * n):
             try:
                 bijection.components_vs_returns(p)
             except bijection.VerificationError as exc:
                 failures.append(str(exc))
             count += 1
-    report.add("right components track path returns", failures, count)
+    return failures, count
 
+
+def _dyck_descents(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         for p in bijection.generate_c123_even(2 * n):
             path = bijection.phi(p)
             if not path.is_dyck_path:
@@ -291,10 +303,12 @@ def _suite_bijection(max_n: int) -> SuiteReport:
             if perms.descent_count(p) != want:
                 failures.append(f"descent formula fails for {p}")
             count += 1
-    report.add("Dyck-class descents from valleys and triple falls", failures, count)
+    return failures, count
 
+
+def _block_heights(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         for p in bijection.generate_c123_even(2 * n):
             dec = perms.minima_decomposition(p)
             if any(dec.tiny_flags):
@@ -303,10 +317,12 @@ def _suite_bijection(max_n: int) -> SuiteReport:
             if bijection.predicted_heights(p) != trace.block_heights():
                 failures.append(f"predicted heights differ for {p}")
             count += 1
-    report.add("per-block height formulas (no tiny minima)", failures, count)
+    return failures, count
 
+
+def _composite_split(max_n, cap, seed, notes):
     failures, count = [], 0
-    for n in range(cap_n + 1):
+    for n in range(min(max_n, cap // 2) + 1):
         for p in bijection.generate_c123_even(2 * n):
             c = paths.classify(bijection.phi(p))
             if c.split is None:
@@ -325,11 +341,12 @@ def _suite_bijection(max_n: int) -> SuiteReport:
             if perms.descent_count(p) != want:
                 failures.append(f"composite descent offset fails for {p}")
             count += 1
-    report.add("composite members factor at the last return", failures, count)
+    return failures, count
 
+
+def _odd_123(max_n, cap, seed, notes):
     failures, count = [], 0
-    gen_cap = min(max_n, oracle.GENERAL_MAX_LENGTH - 1, suite_length_cap() // 2)
-    for m in range(gen_cap + 1):
+    for m in range(min(max_n, oracle.GENERAL_MAX_LENGTH - 1, cap // 2) + 1):
         odd_members = {
             p.values
             for p in oracle.enumerate_class(
@@ -349,10 +366,12 @@ def _suite_bijection(max_n: int) -> SuiteReport:
             count += 1
         if image != odd_members:
             failures.append(f"odd embedding not onto at length {2 * m + 1}")
-    report.add("odd 123 class is the lifted image of S_n(123)", failures, count)
+    return failures, count
 
+
+def _generator_132(max_n, cap, seed, notes):
     failures, count = [], 0
-    for m in range(min(2 * cap_n, suite_length_cap()) + 1):
+    for m in range(2 * min(max_n, cap // 2) + 1):
         built = {p.values for p in bijection.generate_c132(m)}
         brute = {
             p.values
@@ -363,36 +382,22 @@ def _suite_bijection(max_n: int) -> SuiteReport:
         if built != brute:
             failures.append(f"132 generator mismatch at length {m}")
         count += 1
-    report.add("132 structural generator matches brute force", failures, count)
-
-    return report
+    return failures, count
 
 
-def _random_integral_series(rng, order):
-    terms = []
-    for i in range(order + 1):
-        for j in range(2 * i + 2):
-            if rng.random() < 0.4:
-                terms.append((i, j, Fraction(rng.randint(-4, 4))))
-    return BivariateSeries.one(order) + BivariateSeries.from_terms(
-        order, [(i, j, c) for i, j, c in terms if i > 0]
-    )
-
-
-def _suite_series(max_n: int, seed: int = 0) -> SuiteReport:
-    report = SuiteReport("series", max_n)
-    rng = random.Random(seed)
-    order = max(max_n, 2)
-
+def _t_rows(max_n, cap, seed, notes):
     failures, count = [], 0
     t_table = tables.build_table("t", max_n)
     for n in range(min(max_n, len(T_ROWS_FROZEN) - 1) + 1):
         if tuple(t_table.rows[n]) != tables._trim_row(T_ROWS_FROZEN[n]):
             failures.append(f"t row {n} = {t_table.rows[n]}")
         count += 1
-    report.add("t table matches the published rows", failures, count)
+    return failures, count
 
+
+def _row_sums(max_n, cap, seed, notes):
     failures, count = [], 0
+    t_table = tables.build_table("t", max_n)
     q_table = tables.build_table("q", max_n)
     v_table = tables.build_table("v", max_n)
     for n in range(max_n + 1):
@@ -409,18 +414,30 @@ def _suite_series(max_n: int, seed: int = 0) -> SuiteReport:
         if bad:
             failures.append(f"v row {n} nonzero at d = {bad[0]}")
         count += 3
-    report.add("row sums and parity constraints", failures, count)
+    return failures, count
 
-    oracle_n = min(max_n, suite_length_cap() // 2)
-    checked = tables.cross_check(max_n, oracle_max_n=oracle_n)
-    report.add(
-        "recurrence vs series vs brute force, all families",
-        checked.failures,
-        checked.cells_checked,
+
+def _three_routes(max_n, cap, seed, notes):
+    checked = tables.cross_check(max_n, oracle_max_n=min(max_n, cap // 2))
+    notes.extend(checked.discrepancies)
+    return checked.failures, checked.cells_checked
+
+
+def _random_integral_series(rng, order):
+    terms = []
+    for i in range(order + 1):
+        for j in range(2 * i + 2):
+            if rng.random() < 0.4:
+                terms.append((i, j, Fraction(rng.randint(-4, 4))))
+    return BivariateSeries.one(order) + BivariateSeries.from_terms(
+        order, [(i, j, c) for i, j, c in terms if i > 0]
     )
-    report.notes.extend(checked.discrepancies)
 
+
+def _series_arithmetic(max_n, cap, seed, notes):
     failures, count = [], 0
+    rng = random.Random(seed)
+    order = max(max_n, 2)
     for trial in range(25):
         a = _random_integral_series(rng, order)
         b = _random_integral_series(rng, order)
@@ -431,12 +448,14 @@ def _suite_series(max_n: int, seed: int = 0) -> SuiteReport:
         if (a * a).sqrt() != a:
             failures.append(f"sqrt(a^2) != a (trial {trial})")
         count += 3
-    report.add("series arithmetic round trips (randomized)", failures, count)
+    return failures, count
 
+
+def _catalan_series(max_n, cap, seed, notes):
     failures, count = [], 0
-    disc = BivariateSeries.from_terms(order, [(0, 0, 1), (1, 0, -4)])
+    disc = BivariateSeries.from_terms(max(max_n, 2), [(0, 0, 1), (1, 0, -4)])
     catalan = (1 - disc.sqrt()).div_x(1).scale(Fraction(1, 2))
-    for n in range(min(catalan.order, suite_length_cap() // 2, 10) + 1):
+    for n in range(min(catalan.order, cap // 2, 10) + 1):
         coeff = catalan.coefficient(n, 0)
         counted = sum(
             1 for p in paths.enumerate_prefixes(2 * n) if p.is_dyck_path
@@ -444,9 +463,12 @@ def _suite_series(max_n: int, seed: int = 0) -> SuiteReport:
         if coeff != counted or coeff != comb(2 * n, n) // (n + 1):
             failures.append(f"Catalan coefficient {n} = {coeff}")
         count += 1
-    report.add("generating function for Dyck path counts", failures, count)
+    return failures, count
 
+
+def _series_identities(max_n, cap, seed, notes):
     failures, count = [], 0
+    order = max(max_n, 2)
     v = build_named_series("V", order)
     e_sub = build_named_series("E", order).substitute_y_squared()
     identity = 1 + (e_sub - 1).mul_term(0, 2, 1)
@@ -485,9 +507,37 @@ def _suite_series(max_n: int, seed: int = 0) -> SuiteReport:
     if s != s_relation:
         failures.append("S linear relation in T and K fails")
     count += 1
-    report.add("named series identities", failures, count)
+    return failures, count
 
-    return report
+
+CHECKS = (
+    ("perm", "centrosymmetric count 2^n n!", _centro_count),
+    ("perm", "123-avoiding count C(2n, n)", _count_123),
+    ("perm", "132-avoiding count 2^n", _count_132),
+    ("perm", "mirror-symmetric descent sets", _mirror_descents),
+    ("perm", "descents recoverable from the first half", _descents_from_half),
+    ("perm", "minima decomposition well formed", _minima_decomposition),
+    ("path", "prefix count C(2n, n)", _prefix_count),
+    ("path", "Dyck path count Catalan(n)", _dyck_count),
+    ("path", "classification trichotomy and split", _classification),
+    ("path", "heights, final height, returns agree", _heights),
+    ("bijection", "round trip path -> member -> path", _round_trip_paths),
+    ("bijection", "round trip member -> path -> member", _round_trip_members),
+    ("bijection", "structural generator matches inverse image", _structural_generator),
+    ("bijection", "final height 2#tiny; Dyck iff no tiny minima", _final_height),
+    ("bijection", "right components track path returns", _components_vs_returns),
+    ("bijection", "Dyck-class descents from valleys and triple falls", _dyck_descents),
+    ("bijection", "per-block height formulas (no tiny minima)", _block_heights),
+    ("bijection", "composite members factor at the last return", _composite_split),
+    ("bijection", "odd 123 class is the lifted image of S_n(123)", _odd_123),
+    ("bijection", "132 structural generator matches brute force", _generator_132),
+    ("series", "t table matches the published rows", _t_rows),
+    ("series", "row sums and parity constraints", _row_sums),
+    ("series", "recurrence vs series vs brute force, all families", _three_routes),
+    ("series", "series arithmetic round trips (randomized)", _series_arithmetic),
+    ("series", "generating function for Dyck path counts", _catalan_series),
+    ("series", "named series identities", _series_identities),
+)
 
 
 def run_suite(suite: str, max_n: int, seed: int = 0) -> list:
@@ -496,11 +546,10 @@ def run_suite(suite: str, max_n: int, seed: int = 0) -> list:
         raise ValueError(f"unknown suite {suite!r} (choose from {SUITES})")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    runners = {
-        "perm": lambda: _suite_perm(max_n),
-        "path": lambda: _suite_path(max_n),
-        "bijection": lambda: _suite_bijection(max_n),
-        "series": lambda: _suite_series(max_n, seed),
-    }
-    names = list(runners) if suite == "all" else [suite]
-    return [runners[name]() for name in names]
+    cap = oracle.length_cap(DEFAULT_SUITE_LENGTH)
+    reports = {}
+    for check_suite, name, fn in CHECKS:
+        if suite in ("all", check_suite):
+            report = reports.setdefault(check_suite, SuiteReport(check_suite, max_n))
+            report.add(name, *fn(max_n, cap, seed, report.notes))
+    return list(reports.values())

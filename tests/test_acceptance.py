@@ -7,57 +7,17 @@ stated runtime budgets.
 
 import random
 import time
-from fractions import Fraction
 from math import comb
 
-from censym.bijection import (
-    generate_c123_even,
-    phi,
-    phi_inverse,
-    phi_trace,
-    predicted_heights,
-)
+from censym.bijection import generate_c123_even, phi, phi_inverse
 from censym.oracle import ClassSpec, descent_histogram, enumerate_class
-from censym.paths import LatticePath, classify, enumerate_prefixes
-from censym.perms import (
-    Permutation,
-    descent_count,
-    minima_decomposition,
-    parse_permutation,
-    right_connected_components,
-)
+from censym.paths import LatticePath
+from censym.perms import parse_permutation
 from censym.series import BivariateSeries, build_named_series
 from censym.tables import build_table, cross_check, oracle_table, series_table
+from censym.verify import T_ROWS_FROZEN
 
-T_ROWS = (
-    (1,),
-    (1, 1),
-    (0, 2, 3, 1),
-    (0, 0, 3, 9, 7, 1),
-    (0, 0, 0, 6, 20, 28, 15, 1),
-    (0, 0, 0, 0, 10, 50, 85, 75, 31, 1),
-)
-
-C6_132 = {
-    (1, 2, 3, 4, 5, 6),
-    (4, 5, 6, 1, 2, 3),
-    (5, 6, 3, 4, 1, 2),
-    (5, 6, 4, 3, 1, 2),
-    (6, 2, 3, 4, 5, 1),
-    (6, 4, 5, 2, 3, 1),
-    (6, 5, 3, 4, 2, 1),
-    (6, 5, 4, 3, 2, 1),
-}
-C7_132 = {
-    (1, 2, 3, 4, 5, 6, 7),
-    (5, 6, 7, 4, 1, 2, 3),
-    (6, 7, 3, 4, 5, 1, 2),
-    (6, 7, 5, 4, 3, 1, 2),
-    (7, 2, 3, 4, 5, 6, 1),
-    (7, 5, 6, 4, 2, 3, 1),
-    (7, 6, 3, 4, 5, 2, 1),
-    (7, 6, 5, 4, 3, 2, 1),
-}
+from tests.paper import C6_132, C7_132, PHI_FIGURE, PHI_INVERSE_FIGURE
 
 
 def _line(number, ok, detail):
@@ -66,44 +26,29 @@ def _line(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
-def test_criterion_1_central_binomial_counts():
+def test_criterion_1_central_binomial_counts(catalogue):
     start = time.monotonic()
-    ok = True
-    for n in range(9):
-        built = sum(1 for _ in generate_c123_even(2 * n))
-        ok = ok and built == comb(2 * n, n)
-    for n in range(8):
-        brute = sum(
-            1
-            for _ in enumerate_class(
-                ClassSpec(2 * n, centrosymmetric=True, avoid=(1, 2, 3))
-            )
-        )
-        ok = ok and brute == comb(2 * n, n)
+    ok = all(
+        sum(1 for _ in generate_c123_even(2 * n)) == comb(2 * n, n) for n in range(9)
+    )
+    ok = ok and catalogue(7, "123-avoiding count C(2n, n)").ok
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60
     _line(1, ok, f"|C_2n(123)| = C(2n,n), generator n<=8 and brute force n<=7 ({elapsed:.1f}s)")
 
 
-def test_criterion_2_round_trips():
-    ok = True
-    for n in range(9):
-        image = set()
-        for path in enumerate_prefixes(2 * n):
-            p = phi_inverse(path)
-            image.add(p.values)
-            ok = ok and phi(p).steps == path.steps
-        ok = ok and len(image) == comb(2 * n, n)
-        for p in generate_c123_even(2 * n):
-            ok = ok and phi_inverse(phi(p)) == p
-    _line(2, ok, "phi/phi_inverse mutually inverse, image complete, 2n <= 16")
+def test_criterion_2_round_trips(catalogue):
+    report = catalogue(
+        8, "round trip path -> member -> path", "round trip member -> path -> member"
+    )
+    _line(2, report.ok, "phi/phi_inverse mutually inverse, image complete, 2n <= 16")
 
 
 def test_criterion_3_figure_fidelity():
-    p = parse_permutation("11 16 15 9 7 14 13 12 5 4 3 10 8 2 1 6")
-    ok = phi(p).steps == "UUUUUUDDDUUDUDDD"
-    q = phi_inverse(LatticePath("UUUDDUUUUUUDDUUD"))
-    ok = ok and str(q) == "14 16 8 15 13 7 6 12 5 11 10 4 2 9 1 3"
+    member, path = PHI_FIGURE
+    ok = phi(parse_permutation(member)).steps == path
+    path, member = PHI_INVERSE_FIGURE
+    ok = ok and str(phi_inverse(LatticePath(path))) == member
     _line(3, ok, "both worked figures reproduced bit-exactly")
 
 
@@ -112,7 +57,7 @@ def test_criterion_4_t_table_three_ways():
     rec = build_table("t", 8)
     ser = series_table("t", 8)
     orc = oracle_table("t", 7)
-    ok = rec.rows[:6] == T_ROWS
+    ok = rec.rows[:6] == T_ROWS_FROZEN
     ok = ok and ser.rows == rec.rows
     ok = ok and orc.rows == rec.rows[:8]
     elapsed = time.monotonic() - start
@@ -121,11 +66,14 @@ def test_criterion_4_t_table_three_ways():
 
 
 def test_criterion_5_132_results():
-    ok = True
+    report = cross_check(7, families=("q", "r"), oracle_max_n=7)
+    ok = report.ok and all(
+        "printed Q" in d or "printed R" in d for d in report.discrepancies
+    )
+    # the cross-check's oracle leg makes these rows the brute-force histograms
+    q, r = build_table("q", 7), build_table("r", 7)
     for n in range(8):
-        hist = descent_histogram(
-            ClassSpec(2 * n, centrosymmetric=True, avoid=(1, 3, 2))
-        )
+        hist = {d: c for d, c in enumerate(q.rows[n]) if c}
         if n == 0:
             ok = ok and hist == {0: 1}
         else:
@@ -135,9 +83,7 @@ def test_criterion_5_132_results():
                 if comb(n - 1, d // 2)
             }
             ok = ok and hist == want
-        hist = descent_histogram(
-            ClassSpec(2 * n + 1, centrosymmetric=True, avoid=(1, 3, 2))
-        )
+        hist = {d: c for d, c in enumerate(r.rows[n]) if c}
         want = {2 * k: comb(n, k) for k in range(n + 1) if comb(n, k)}
         ok = ok and hist == want
     six = {
@@ -149,15 +95,10 @@ def test_criterion_5_132_results():
         for p in enumerate_class(ClassSpec(7, centrosymmetric=True, avoid=(1, 3, 2)))
     }
     ok = ok and six == C6_132 and seven == C7_132
-    report = cross_check(7, families=("q", "r"), oracle_max_n=7)
-    ok = ok and report.ok
-    ok = ok and all(
-        "printed Q" in d or "printed R" in d for d in report.discrepancies
-    )
     _line(5, ok, "132 histograms match binomial formulas n<=7; listed classes verbatim")
 
 
-def test_criterion_6_odd_123_case():
+def test_criterion_6_odd_123_case(catalogue):
     ok = True
     eulerian = {}
     for n in range(9):
@@ -176,40 +117,24 @@ def test_criterion_6_odd_123_case():
         row = e.integer_rows()[n]
         hist = {k: c for k, c in enumerate(row) if c}
         ok = ok and hist == eulerian[n]
-    v = build_named_series("V", 8)
-    identity = 1 + (e.substitute_y_squared() - 1).mul_term(0, 2, 1)
-    ok = ok and v == identity
+    ok = ok and catalogue(8, "named series identities").ok
     _line(6, ok, "odd histograms shift the S_n(123) Eulerian rows; V identity to order 8")
 
 
-def test_criterion_7_structure_theorems():
-    ok = True
-    checked = 0
-    for n in range(8):
-        for p in generate_c123_even(2 * n):
-            dec = minima_decomposition(p)
-            path = phi(p)
-            tiny = sum(dec.tiny_flags)
-            ok = ok and path.final_height == 2 * tiny
-            ok = ok and path.is_dyck_path == (tiny == 0)
-            if path.is_dyck_path and n:
-                ok = ok and descent_count(p) == 2 * (
-                    path.triple_falls + path.valleys
-                ) + 1
-            components = len(right_connected_components(p))
-            expected = 2 * path.returns + (0 if path.is_dyck_path else 1)
-            ok = ok and components == expected
-            if not tiny:
-                ok = ok and predicted_heights(p) == phi_trace(p).block_heights()
-            checked += 1
-            if not ok:
-                break
-        if not ok:
-            break
-    _line(7, ok, f"height/tiny, descent, component, and height-formula laws on {checked} members")
+def test_criterion_7_structure_theorems(catalogue):
+    report = catalogue(
+        7,
+        "final height 2#tiny; Dyck iff no tiny minima",
+        "Dyck-class descents from valleys and triple falls",
+        "right components track path returns",
+        "per-block height formulas (no tiny minima)",
+    )
+    checked = sum(c.count for c in report.checks)
+    detail = "height/tiny, descent, component, and height-formula laws"
+    _line(7, report.ok, f"{detail} on {checked} cases, 2n <= 14")
 
 
-def test_criterion_8_series_engine():
+def test_criterion_8_series_engine(catalogue):
     rng = random.Random(20260814)
     ok = True
     order = 12
@@ -228,23 +153,8 @@ def test_criterion_8_series_engine():
         ok = ok and (a / b) * b == a
         ok = ok and (a * a).sqrt() == a
         cases += 2
-    disc = BivariateSeries.from_terms(11, [(0, 0, 1), (1, 0, -4)])
-    catalan = (1 - disc.sqrt()).div_x(1).scale(Fraction(1, 2))
-    for n in range(11):
-        counted = sum(1 for q in enumerate_prefixes(2 * n) if q.is_dyck_path)
-        ok = ok and catalan.coefficient(n, 0) == counted
-    k = build_named_series("K", order)
-    ck = build_named_series("CK", order)
-    s = build_named_series("S", order)
-    t = build_named_series("T", order)
-    ok = ok and k == ck + ((ck - 1) * (k - 1)).mul_term(0, 1, 1)
-    ok = ok and t == k + s - 1 + ((k - 1) * (s - 1)).mul_term(0, 1, 1)
-    s_relation = (
-        1
-        + BivariateSeries.from_terms(order, [(1, 0, 1)])
-        + (t - 1).mul_term(1, 1, 1)
-        + t.mul_term(1, 2, 1)
-        - k.mul_term(1, 2, 1)
+    report = catalogue(
+        order, "generating function for Dyck path counts", "named series identities"
     )
-    ok = ok and s == s_relation
+    ok = ok and report.ok
     _line(8, ok, f"{cases} randomized algebra cases, Catalan leg n<=10, composite identities to order 12")

@@ -9,23 +9,20 @@ from censym.bijection import (
     generate_c123_structural,
     generate_c132,
     odd_embed,
-    odd_project,
     phi,
     phi_inverse,
     phi_trace,
     predicted_heights,
 )
-from censym.oracle import ClassSpec, enumerate_class
-from censym.paths import InvalidPath, LatticePath, classify, enumerate_prefixes
+from censym.paths import InvalidPath, LatticePath
 from censym.perms import (
     InvalidPermutation,
     Permutation,
-    descent_count,
-    is_centrosymmetric,
     minima_decomposition,
     parse_permutation,
-    rank_within,
 )
+
+from tests.paper import PHI_FIGURE, PHI_INVERSE_FIGURE
 
 LENGTH_FOUR_MAP = {
     (2, 1, 4, 3): "UUUU",
@@ -44,13 +41,13 @@ def test_phi_on_all_length_four_members():
 
 
 def test_phi_figure_example():
-    p = parse_permutation("11 16 15 9 7 14 13 12 5 4 3 10 8 2 1 6")
-    assert phi(p).steps == "UUUUUUDDDUUDUDDD"
+    member, path = PHI_FIGURE
+    assert phi(parse_permutation(member)).steps == path
 
 
 def test_phi_inverse_figure_example():
-    q = phi_inverse(LatticePath("UUUDDUUUUUUDDUUD"))
-    assert str(q) == "14 16 8 15 13 7 6 12 5 11 10 4 2 9 1 3"
+    path, member = PHI_INVERSE_FIGURE
+    assert str(phi_inverse(LatticePath(path))) == member
 
 
 def test_phi_empty_and_length_two():
@@ -72,35 +69,23 @@ def test_phi_inverse_rejects_odd_length():
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_round_trips(n):
-    members = set()
-    for path in enumerate_prefixes(2 * n):
-        p = phi_inverse(path)
-        assert phi(p).steps == path.steps
-        members.add(p.values)
-    assert len(members) == comb(2 * n, n)
-    for p in generate_c123_even(2 * n):
-        assert phi_inverse(phi(p)) == p
+def test_round_trips(n, catalogue):
+    assert catalogue(
+        n, "round trip path -> member -> path", "round trip member -> path -> member"
+    ).ok
 
 
 def test_phi_trace_blocks_of_figure_member():
-    p = parse_permutation("11 16 15 9 7 14 13 12 5 4 3 10 8 2 1 6")
-    trace = phi_trace(p)
+    member, path = PHI_FIGURE
+    trace = phi_trace(parse_permutation(member))
     assert [b.emitted for b in trace.blocks] == ["UUUUUUDDD", "UUD", "UDDD"]
     assert [b.deleted for b in trace.blocks] == [3, 4, 0]
     assert [b.tiny for b in trace.blocks] == [False, False, True]
-    assert trace.path.steps == "UUUUUUDDDUUDUDDD"
+    assert trace.path.steps == path
 
 
-def test_final_height_counts_tiny_minima():
-    for n in range(6):
-        for p in generate_c123_even(2 * n):
-            tiny = sum(minima_decomposition(p).tiny_flags)
-            path = phi(p)
-            assert path.final_height == 2 * tiny
-            assert path.is_dyck_path == (tiny == 0)
-            half_high = all(v > n for v in p.values[:n])
-            assert (tiny == 0) == half_high
+def test_final_height_counts_tiny_minima(catalogue):
+    assert catalogue(5, "final height 2#tiny; Dyck iff no tiny minima").ok
 
 
 def test_components_vs_returns_record():
@@ -110,41 +95,21 @@ def test_components_vs_returns_record():
     assert record == {"components": 2, "returns": 1, "dyck": True}
 
 
-def test_components_vs_returns_exhaustive():
-    for n in range(6):
-        for p in generate_c123_even(2 * n):
-            components_vs_returns(p)
+def test_components_vs_returns_exhaustive(catalogue):
+    assert catalogue(5, "right components track path returns").ok
 
 
-def test_predicted_heights_on_no_tiny_members():
+def test_predicted_heights_on_no_tiny_members(catalogue):
+    assert catalogue(5, "per-block height formulas (no tiny minima)").ok
     for n in range(6):
         for p in generate_c123_even(2 * n):
-            dec = minima_decomposition(p)
-            if any(dec.tiny_flags):
+            if any(minima_decomposition(p).tiny_flags):
                 with pytest.raises(InvalidPermutation):
                     predicted_heights(p)
-            else:
-                assert predicted_heights(p) == phi_trace(p).block_heights()
 
 
-def test_composite_factorization():
-    for n in range(6):
-        for p in generate_c123_even(2 * n):
-            c = classify(phi(p))
-            if c.split is None:
-                continue
-            dyck_part, proper_part = c.split
-            a = len(dyck_part) // 2
-            middle = p.values[a : len(p) - a]
-            ends = p.values[:a] + p.values[len(p) - a :]
-            inner = phi_inverse(proper_part)
-            outer = phi_inverse(dyck_part)
-            assert rank_within(middle, tuple(sorted(middle))) == inner.values
-            assert rank_within(ends, tuple(sorted(ends))) == outer.values
-            assert (
-                descent_count(p)
-                == descent_count(inner) + descent_count(outer) + 1
-            )
+def test_composite_factorization(catalogue):
+    assert catalogue(5, "composite members factor at the last return").ok
 
 
 def test_odd_embed_known_values():
@@ -159,23 +124,8 @@ def test_odd_embed_rejects_pattern():
         odd_embed(Permutation((1, 2, 3)))
 
 
-def test_odd_round_trip_and_image():
-    for m in range(6):
-        image = set()
-        for alpha in enumerate_class(ClassSpec(m, avoid=(1, 2, 3))):
-            lifted = odd_embed(alpha)
-            assert is_centrosymmetric(lifted)
-            assert odd_project(lifted) == alpha
-            if len(alpha):
-                assert descent_count(lifted) == 2 * descent_count(alpha) + 2
-            image.add(lifted.values)
-        brute = {
-            p.values
-            for p in enumerate_class(
-                ClassSpec(2 * m + 1, centrosymmetric=True, avoid=(1, 2, 3))
-            )
-        }
-        assert image == brute
+def test_odd_round_trip_and_image(catalogue):
+    assert catalogue(5, "odd 123 class is the lifted image of S_n(123)").ok
 
 
 def test_even_to_odd_132_follows_listed_correspondence():
@@ -194,22 +144,13 @@ def test_even_to_odd_132_follows_listed_correspondence():
         assert even_to_odd_132(even) == parse_permutation(odd_text)
 
 
-def test_generate_c132_matches_brute_force():
-    for m in range(9):
-        built = sorted(p.values for p in generate_c132(m))
-        brute = sorted(
-            p.values
-            for p in enumerate_class(
-                ClassSpec(m, centrosymmetric=True, avoid=(1, 3, 2))
-            )
-        )
-        assert built == brute
-        if m:
-            assert len(built) == 2 ** (m // 2)
+def test_generate_c132_matches_brute_force(catalogue):
+    assert catalogue(4, "132 structural generator matches brute force").ok
+    counts = [sum(1 for _ in generate_c132(m)) for m in range(9)]
+    assert counts == [2 ** (m // 2) for m in range(9)]
 
 
-def test_structural_generator_matches_path_generator():
-    for n in range(7):
-        lhs = sorted(p.values for p in generate_c123_structural(2 * n))
-        rhs = sorted(p.values for p in generate_c123_even(2 * n))
-        assert lhs == rhs
+def test_structural_generator_matches_path_generator(catalogue):
+    assert catalogue(6, "structural generator matches inverse image").ok
+    counts = [sum(1 for _ in generate_c123_structural(2 * n)) for n in range(7)]
+    assert counts == [comb(2 * n, n) for n in range(7)]

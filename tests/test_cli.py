@@ -7,6 +7,62 @@ from censym.paths import LatticePath
 from censym.perms import parse_permutation
 from censym.verify import Check, SuiteReport
 
+from tests.paper import PHI_FIGURE, PHI_INVERSE_FIGURE
+
+# stdout of `censym verify --suite all --max-n 4 --seed 0`
+VERIFY_ALL_4 = """\
+suite perm (max n = 4)
+PASS centrosymmetric count 2^n n! (5 checked)
+PASS 123-avoiding count C(2n, n) (5 checked)
+PASS 132-avoiding count 2^n (5 checked)
+PASS mirror-symmetric descent sets (502 checked)
+PASS descents recoverable from the first half (443 checked)
+PASS minima decomposition well formed (99 checked)
+suite perm: ok
+suite path (max n = 4)
+PASS prefix count C(2n, n) (5 checked)
+PASS Dyck path count Catalan(n) (5 checked)
+PASS classification trichotomy and split (99 checked)
+PASS heights, final height, returns agree (99 checked)
+suite path: ok
+suite bijection (max n = 4)
+PASS round trip path -> member -> path (99 checked)
+PASS round trip member -> path -> member (99 checked)
+PASS structural generator matches inverse image (5 checked)
+PASS final height 2#tiny; Dyck iff no tiny minima (99 checked)
+PASS right components track path returns (99 checked)
+PASS Dyck-class descents from valleys and triple falls (23 checked)
+PASS per-block height formulas (no tiny minima) (23 checked)
+PASS composite members factor at the last return (27 checked)
+PASS odd 123 class is the lifted image of S_n(123) (23 checked)
+PASS 132 structural generator matches brute force (9 checked)
+suite bijection: ok
+suite series (max n = 4)
+PASS t table matches the published rows (5 checked)
+PASS row sums and parity constraints (15 checked)
+PASS recurrence vs series vs brute force, all families (290 checked)
+PASS series arithmetic round trips (randomized) (75 checked)
+PASS generating function for Dyck path counts (4 checked)
+PASS named series identities (5 checked)
+paper discrepancies (expected, not failures):
+  q[0][0]: table 1 vs series 0 (printed Q omits the constant term for the empty permutation)
+  r[0][0]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[1][2]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[2][2]: table 2 vs series 1 (printed R is short one factor of (1+y^2))
+  r[2][4]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[3][2]: table 3 vs series 2 (printed R is short one factor of (1+y^2))
+  r[3][4]: table 3 vs series 1 (printed R is short one factor of (1+y^2))
+  r[3][6]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[4][2]: table 4 vs series 3 (printed R is short one factor of (1+y^2))
+  r[4][4]: table 6 vs series 3 (printed R is short one factor of (1+y^2))
+  r[4][6]: table 4 vs series 1 (printed R is short one factor of (1+y^2))
+  r[4][8]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  ck[0][0]: table 0 vs series 1 (printed CK counts the empty path as elevated)
+  g[0][0]: table 0 vs series 1 (printed S counts the empty path as an elevated proper prefix)
+suite series: ok
+all suites passed
+"""
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -15,18 +71,18 @@ def run(capsys, *argv):
 
 
 def test_phi_figure(capsys):
-    code, out, err = run(
-        capsys, "phi", "11 16 15 9 7 14 13 12 5 4 3 10 8 2 1 6"
-    )
+    member, path = PHI_FIGURE
+    code, out, err = run(capsys, "phi", member)
     assert code == 0
-    assert out == "UUUUUUDDDUUDUDDD\n"
+    assert out == path + "\n"
     assert err == ""
 
 
 def test_phi_inv_figure(capsys):
-    code, out, _ = run(capsys, "phi-inv", "UUUDDUUUUUUDDUUD")
+    path, member = PHI_INVERSE_FIGURE
+    code, out, _ = run(capsys, "phi-inv", path)
     assert code == 0
-    assert out == "14 16 8 15 13 7 6 12 5 11 10 4 2 9 1 3\n"
+    assert out == member + "\n"
 
 
 def test_phi_invalid_input(capsys):
@@ -225,6 +281,20 @@ def test_verify_reports_failure(monkeypatch, capsys):
 
 def test_verify_rejects_negative(capsys):
     assert run(capsys, "verify", "--suite", "path", "--max-n", "-1")[0] == 3
+
+
+def test_verify_report_is_frozen(capsys):
+    out = run(capsys, "verify", "--suite", "all", "--max-n", "4", "--seed", "0")
+    assert out == (0, VERIFY_ALL_4, "")
+
+
+@pytest.mark.parametrize("value, code", [("-2", 3), ("abc", 3), ("", 0)])
+def test_oracle_cap_variable(monkeypatch, capsys, value, code):
+    monkeypatch.setenv("CENSYM_MAX_ORACLE_N", value)
+    got, out, err = run(capsys, "verify", "--suite", "path", "--max-n", "2")
+    assert got == code
+    assert ("CENSYM_MAX_ORACLE_N" in err) == (code == 3)
+    assert out.endswith("all suites passed\n") == (code == 0)
 
 
 def test_output_determinism(capsys):

@@ -1,5 +1,3 @@
-from math import comb
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +7,6 @@ from censym.paths import (
     LatticePath,
     classify,
     enumerate_prefixes,
-    make_path,
     path_stats,
 )
 
@@ -57,7 +54,7 @@ def test_random_step_strings(steps):
     p = LatticePath(text)
     assert p.final_height == h
     assert len(p.heights()) == len(text) + 1
-    assert make_path(str(p)) == p
+    assert LatticePath(str(p)) == p
 
 
 def test_classify_kinds():
@@ -90,11 +87,10 @@ def test_elevated_dyck_path():
     assert q.is_dyck_path and not q.is_elevated
 
 
-def test_enumerate_counts_and_order():
+def test_enumerate_counts_and_order(catalogue):
     got = [p.steps for p in enumerate_prefixes(4)]
     assert got == ["UUUU", "UUUD", "UUDU", "UUDD", "UDUU", "UDUD"]
-    for n in range(7):
-        assert sum(1 for _ in enumerate_prefixes(2 * n)) == comb(2 * n, n)
+    assert catalogue(6, "prefix count C(2n, n)").ok
 
 
 def test_enumerate_validation():
@@ -106,15 +102,8 @@ def test_enumerate_validation():
         list(enumerate_prefixes(-2))
 
 
-def test_composite_split_reassembles():
-    for p in enumerate_prefixes(10):
-        c = classify(p)
-        if c.split is not None:
-            left, right = c.split
-            assert left.steps + right.steps == p.steps
-            assert left.is_dyck_path
-            assert left.steps
-            assert right.returns == 0 and right.final_height > 0
+def test_composite_split_reassembles(catalogue):
+    assert catalogue(5, "classification trichotomy and split").ok
 
 
 def test_path_stats():

@@ -13,7 +13,6 @@ from censym.perms import (
     contains_pattern,
     descent_count,
     descent_set,
-    descents_from_half,
     is_centrosymmetric,
     left_half_word,
     lis_length,
@@ -28,6 +27,8 @@ from censym.perms import (
     stats,
     word_contains_pattern,
 )
+
+from tests.paper import PHI_FIGURE
 
 perms_upto = lambda m: st.integers(1, m).flatmap(
     lambda k: st.permutations(range(1, k + 1))
@@ -152,19 +153,12 @@ def test_right_components_partition_positions(values):
     assert covered == list(range(1, len(p) + 1))
 
 
-def test_descents_from_half_agrees_with_direct_count():
-    for values in itertools.permutations(range(1, 7)):
-        p = Permutation(values)
-        if len(p) % 2 == 0 and is_centrosymmetric(p):
-            assert descents_from_half(p) == descent_count(p)
+def test_descents_from_half_agrees_with_direct_count(catalogue):
+    assert catalogue(3, "descents recoverable from the first half").ok
 
 
-def test_descent_set_mirror_symmetry():
-    for values in itertools.permutations(range(1, 7)):
-        p = Permutation(values)
-        if is_centrosymmetric(p):
-            d = set(descent_set(p))
-            assert {len(p) - i for i in d} == d
+def test_descent_set_mirror_symmetry(catalogue):
+    assert catalogue(3, "mirror-symmetric descent sets").ok
 
 
 def test_middle_element():
@@ -189,8 +183,7 @@ def test_require_member_messages():
 
 
 def test_minima_decomposition_of_figure_member():
-    p = parse_permutation("11 16 15 9 7 14 13 12 5 4 3 10 8 2 1 6")
-    dec = minima_decomposition(p)
+    dec = minima_decomposition(parse_permutation(PHI_FIGURE[0]))
     assert dec.minima == (11, 9, 7)
     assert dec.lengths == (2, 0, 3)
     assert dec.tiny_flags == (False, False, True)
@@ -199,16 +192,8 @@ def test_minima_decomposition_of_figure_member():
     assert dec.middles[0] == 8
 
 
-def test_minima_decomposition_tiny_flags_monotone():
-    for values in itertools.permutations(range(1, 7)):
-        p = Permutation(values)
-        if (
-            is_centrosymmetric(p)
-            and not contains_pattern(p, (1, 2, 3))
-            and len(p) % 2 == 0
-        ):
-            flags = minima_decomposition(p).tiny_flags
-            assert all(b for a, b in zip(flags, flags[1:]) if a)
+def test_minima_decomposition_tiny_flags_monotone(catalogue):
+    assert catalogue(3, "minima decomposition well formed").ok
 
 
 def test_left_half_word():
