@@ -7,10 +7,17 @@ A block (x_1, w_1) with l_1 = |w_1| at a level with half length n emits
     U^k D^(l_1+1)   with k = 2n+1-x_1,          when x_1 > n (not tiny),
     U^k D^l_1       with k = n+1,               when x_1 = n (tiny),
 
-then recurses on the renormalized remainder sigma' and appends its path
-with the leftmost k-l_1-1 (tiny: k-l_1-2) steps removed; those removed
-steps are always U steps.  The final height of phi(p) is twice the number
-of tiny minima, so phi(p) is a Dyck path exactly when p has none.
+and the path of the renormalized remainder sigma' follows with its
+leftmost k-l_1-1 (tiny: k-l_1-2) steps removed; those removed steps are
+always U steps.  The final height of phi(p) is twice the number of tiny
+minima, so phi(p) is a Dyck path exactly when p has none.
+
+Both directions run as one loop over the blocks.  Instead of renormalizing
+the remainder, they keep its alphabet (the values of {1..2n} not yet
+removed with their complements) in a Fenwick tree: a value's rank there is
+its renormalized value, and select turns a renormalized value back into
+an original one.  So phi and phi_inverse take O(n log n) time and no
+recursion.
 """
 
 from dataclasses import dataclass
@@ -25,7 +32,6 @@ from .perms import (
     embed_in,
     is_centrosymmetric,
     minima_decomposition,
-    rank_within,
     require_member,
     right_connected_components,
 )
@@ -79,44 +85,80 @@ class PhiTrace:
         return tuple(out)
 
 
-def _phi_blocks(w):
-    """Emit (fragments, deletions, tiny flags) for a renormalized half word.
+class _Alphabet:
+    """The live values of {1..size}, as a Fenwick tree of 0/1 counts.
 
-    w must be the first half of a valid member, rewritten onto {1..2n}.
+    rank, select and remove each take O(log size).
     """
-    if not w:
-        return [], [], []
-    n = len(w)
-    x1 = w[0]
-    j = 1
-    while j < n and w[j] > x1:
-        j += 1
-    l1 = j - 1
-    k = 2 * n + 1 - x1
-    tiny = x1 == n
 
-    removed = {x1, 2 * n + 1 - x1}
-    for v in w[1:j]:
-        removed.add(v)
-        removed.add(2 * n + 1 - v)
-    alphabet = tuple(a for a in range(1, 2 * n + 1) if a not in removed)
-    sub = rank_within(w[j:], alphabet)
+    def __init__(self, size):
+        self._tree = [i & -i for i in range(size + 1)]  # all values live
+        self._top = 1 << size.bit_length() >> 1
 
-    fragments, deletions, tiny_flags = _phi_blocks(sub)
-    if tiny:
-        emitted = "U" * k + "D" * l1
-        delete = k - l1 - 2
-    else:
-        emitted = "U" * k + "D" * (l1 + 1)
-        delete = k - l1 - 1
-    if fragments:
-        head = fragments[0]
-        if "D" in head[:delete]:
+    def rank(self, v):
+        """Number of live values <= v."""
+        tree, r = self._tree, 0
+        while v:
+            r += tree[v]
+            v &= v - 1
+        return r
+
+    def select(self, r):
+        """The r-th smallest live value, 1 <= r <= the number live."""
+        tree, pos, step = self._tree, 0, self._top
+        while step:
+            nxt = pos + step
+            if nxt < len(tree) and tree[nxt] < r:
+                pos = nxt
+                r -= tree[nxt]
+            step >>= 1
+        return pos + 1
+
+    def remove(self, v):
+        """Remove the live value v."""
+        tree = self._tree
+        while v < len(tree):
+            tree[v] -= 1
+            v += v & -v
+
+
+def _phi_blocks(w):
+    """Emit (fragments, deletions, tiny flags) for a half word on {1..2n}.
+
+    w must be the first half of a valid member.  Fragment i is the block's
+    emitted steps with the deletion of block i-1 already trimmed off.
+    """
+    full = 2 * len(w)
+    alphabet = _Alphabet(full)
+    fragments, deletions, tiny_flags = [], [], []
+    n = len(w)  # half length of the remainder
+    i = 0
+    while i < len(w):
+        x = w[i]
+        j = i + 1
+        while j < len(w) and w[j] > x:
+            j += 1
+        l1 = j - i - 1
+        x1 = alphabet.rank(x)  # x renormalized onto the remainder's {1..2n}
+        k = 2 * n + 1 - x1
+        tiny = x1 == n
+        downs, delete = (l1, k - l1 - 2) if tiny else (l1 + 1, k - l1 - 1)
+        previous = deletions[-1] if deletions else 0
+        if previous > k and downs:
             raise VerificationError("removed steps must all be ups")
-        fragments[0] = head[delete:]
-    elif delete:
-        raise VerificationError(f"last block deletes {delete} steps of an empty path")
-    return [emitted] + fragments, [delete] + deletions, [tiny] + tiny_flags
+        fragments.append("U" * (k - previous) + "D" * downs)
+        deletions.append(delete)
+        tiny_flags.append(tiny)
+        for v in w[i:j]:
+            alphabet.remove(v)
+            alphabet.remove(full + 1 - v)
+        n -= l1 + 1
+        i = j
+    if deletions and deletions[-1]:
+        raise VerificationError(
+            f"last block deletes {deletions[-1]} steps of an empty path"
+        )
+    return fragments, deletions, tiny_flags
 
 
 def phi(p: Permutation) -> LatticePath:
@@ -162,40 +204,46 @@ def predicted_heights(p: Permutation) -> tuple:
 
 
 def _inv_half(steps: str):
-    """First half of the preimage of a Dyck prefix, on the {1..2n} scale."""
-    if not steps:
-        return ()
-    n = len(steps) // 2
-    j = 0
-    while j < len(steps) and steps[j] == "U":
-        j += 1
-    k = 0
-    while j + k < len(steps) and steps[j + k] == "D":
-        k += 1
-    rest = steps[j + k :]
+    """First half of the preimage of a Dyck prefix, on the {1..2n} scale.
 
-    if j <= n:
-        # first block not tiny: x_1 = 2n+1-j, w_1 = 2n .. 2n-k+2
-        head = (2 * n + 1 - j,) + tuple(range(2 * n, 2 * n - k + 1, -1))
-        used = {j, 2 * n + 1 - j}
-        used.update(range(2 * n - k + 2, 2 * n + 1))
-        used.update(range(1, k))
-        sub = _inv_half("U" * (j - k) + rest)
-    elif j == n + 1:
-        # tiny first block: x_1 = n, w_1 = 2n .. 2n-k+1
-        head = (n,) + tuple(range(2 * n, 2 * n - k, -1))
-        used = {n, n + 1}
-        used.update(range(2 * n - k + 1, 2 * n + 1))
-        used.update(range(1, k + 1))
-        sub = _inv_half("U" * (j - k - 2) + rest)
-    else:
-        # run of tiny blocks with empty words: peel one symbol pair
-        head = (n,)
-        used = {n, n + 1}
-        sub = _inv_half("U" * (j - 2) + "D" * k + rest)
+    The path still to be read is U^a D^b steps[pos:]; each pass peels the
+    first block off it.
+    """
+    full = len(steps)
+    alphabet = _Alphabet(full)
+    half = []
+    n = full // 2  # half length of the remainder
+    a = b = pos = 0
+    while n:
+        j = a
+        if not b:  # no D pending, so the U run goes on into steps
+            while pos < full and steps[pos] == "U":
+                j += 1
+                pos += 1
+        k = b
+        while pos < full and steps[pos] == "D":
+            k += 1
+            pos += 1
 
-    middle_alphabet = tuple(a for a in range(1, 2 * n + 1) if a not in used)
-    return head + embed_in(sub, middle_alphabet)
+        if j <= n:
+            # first block not tiny: x_1 = 2n+1-j, w_1 = 2n .. 2n-k+2
+            ranks = [2 * n + 1 - j, *range(2 * n, 2 * n - k + 1, -1)]
+            a, b = j - k, 0
+        elif j == n + 1:
+            # tiny first block: x_1 = n, w_1 = 2n .. 2n-k+1
+            ranks = [n, *range(2 * n, 2 * n - k, -1)]
+            a, b = j - k - 2, 0
+        else:
+            # run of tiny blocks with empty words: peel one symbol pair
+            ranks = [n]
+            a, b = j - 2, k
+        head = [alphabet.select(r) for r in ranks]
+        for v in head:
+            alphabet.remove(v)
+            alphabet.remove(full + 1 - v)
+        half += head
+        n -= len(head)
+    return tuple(half)
 
 
 def phi_inverse(path: LatticePath) -> Permutation:

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit status: 0 success, 1 verification failure, 2 usage error,
-3 invalid input data.
+3 invalid input data, 4 internal error (an unexpected exception, such as
+a failed consistency check inside the library; its traceback goes to
+stderr).
 """
 
 import argparse
@@ -175,6 +177,12 @@ def main(argv=None) -> int:
     except (InvalidPermutation, InvalidPath, CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        import traceback  # only here: importing it slows every start-up
+
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

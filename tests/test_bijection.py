@@ -1,8 +1,12 @@
+import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censym.bijection import (
+    _phi_blocks,
     components_vs_returns,
     even_to_odd_132,
     generate_c123_even,
@@ -18,8 +22,12 @@ from censym.paths import InvalidPath, LatticePath
 from censym.perms import (
     InvalidPermutation,
     Permutation,
+    VerificationError,
+    is_centrosymmetric,
+    lis_length,
     minima_decomposition,
     parse_permutation,
+    right_connected_components,
 )
 
 from tests.paper import PHI_FIGURE, PHI_INVERSE_FIGURE
@@ -66,6 +74,46 @@ def test_phi_rejects_non_members():
 def test_phi_inverse_rejects_odd_length():
     with pytest.raises(InvalidPath):
         phi_inverse(LatticePath("UUD"))
+
+
+def test_phi_blocks_guards():
+    with pytest.raises(VerificationError, match="last block deletes 2 steps"):
+        _phi_blocks((1, 2))
+    with pytest.raises(VerificationError, match="removed steps must all be ups"):
+        _phi_blocks((3, 4, 2, 8))
+
+
+@st.composite
+def dyck_prefixes(draw, max_length):
+    """Even-length Dyck prefixes up to max_length: random steps, with each
+    D that would leave height 0 turned into a U.  Hypothesis favours small
+    integers, so the longest length is also drawn on its own."""
+    n = draw(st.integers(0, max_length // 2) | st.just(max_length // 2))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    height, steps = 0, []
+    for _ in range(2 * n):
+        up = height == 0 or rng.getrandbits(1)
+        height += 1 if up else -1
+        steps.append("U" if up else "D")
+    return LatticePath("".join(steps))
+
+
+@settings(deadline=None, max_examples=40)
+@given(dyck_prefixes(10**4))
+def test_phi_properties_on_long_prefixes(path):
+    p = phi_inverse(path)
+    assert is_centrosymmetric(p) and lis_length(p.values) < 3
+    assert phi(p) == path
+    components = len(right_connected_components(p))
+    assert components == 2 * path.returns + (not path.is_dyck_path)
+
+
+# minima_decomposition keeps every alphabet, O(n * blocks), hence the cap
+@settings(deadline=None, max_examples=40)
+@given(dyck_prefixes(2000))
+def test_final_height_on_random_prefixes(path):
+    tiny = minima_decomposition(phi_inverse(path)).tiny_flags
+    assert path.final_height == 2 * sum(tiny)
 
 
 @pytest.mark.parametrize("n", range(7))

@@ -4,7 +4,7 @@ import pytest
 
 from censym import cli
 from censym.paths import LatticePath
-from censym.perms import parse_permutation
+from censym.perms import VerificationError, parse_permutation
 from censym.verify import Check, SuiteReport
 
 from tests.paper import PHI_FIGURE, PHI_INVERSE_FIGURE
@@ -96,6 +96,25 @@ def test_phi_inv_bad_path(capsys):
     code, _, err = run(capsys, "phi-inv", "DDU")
     assert code == 3
     assert "dips below the x-axis" in err
+
+
+@pytest.mark.parametrize("steps", ["U" * 100000, "UD" * 50000], ids=["U", "UD"])
+def test_phi_inv_long_paths(capsys, steps):
+    code, member, _ = run(capsys, "phi-inv", steps)
+    assert code == 0
+    assert run(capsys, "phi", member.strip()) == (0, steps + "\n", "")
+
+
+@pytest.mark.parametrize("error", [VerificationError, RuntimeError])
+def test_internal_error_exit_code(monkeypatch, capsys, error):
+    def crash(path):
+        raise error("boom")
+
+    monkeypatch.setattr(cli.bijection, "phi_inverse", crash)
+    code, out, err = run(capsys, "phi-inv", "UD")
+    assert code == 4
+    assert out == ""
+    assert f"error: internal error: {error.__name__}: boom" in err
 
 
 def test_usage_errors(capsys):
