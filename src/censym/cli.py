@@ -24,19 +24,28 @@ def _parse_pattern(text: str):
     return values
 
 
+def _input_text(text: str) -> str:
+    """A positional input as given, or all of stdin (stripped) for '-'.
+
+    One command-line argument is capped by the OS (128 KiB on Linux), so
+    long members and paths are piped in instead.
+    """
+    return sys.stdin.read().strip() if text == "-" else text
+
+
 def _cmd_perm_stats(args) -> int:
-    record = stats(parse_permutation(args.perm))
+    record = stats(parse_permutation(_input_text(args.perm)))
     print(json.dumps(record))
     return 0
 
 
 def _cmd_phi(args) -> int:
-    print(bijection.phi(parse_permutation(args.perm)))
+    print(bijection.phi(parse_permutation(_input_text(args.perm))))
     return 0
 
 
 def _cmd_phi_inv(args) -> int:
-    print(bijection.phi_inverse(LatticePath(args.path)))
+    print(bijection.phi_inverse(LatticePath(_input_text(args.path))))
     return 0
 
 
@@ -122,15 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("perm-stats", help="statistics of one permutation")
-    p.add_argument("perm", help="space/comma-separated 1-based values")
+    p.add_argument("perm", help="space/comma-separated 1-based values, or - for stdin")
     p.set_defaults(func=_cmd_perm_stats)
 
     p = sub.add_parser("phi", help="map a member to its Dyck prefix")
-    p.add_argument("perm")
+    p.add_argument("perm", help="the member as for perm-stats, or - for stdin")
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("phi-inv", help="map a Dyck prefix back to the member")
-    p.add_argument("path", help="U/D string")
+    p.add_argument("path", help="U/D string, or - for stdin")
     p.set_defaults(func=_cmd_phi_inv)
 
     p = sub.add_parser("enumerate", help="list a permutation class")

@@ -6,10 +6,12 @@ contributes exactly one value to the first half, and the second half is
 forced (odd lengths pin the middle fixed point).  That is n! 2^n candidates
 for length 2n instead of (2n)!.
 
-Pattern filters prune during the search: containment is monotone under
-extension, so a partial first half that already contains the pattern can be
-cut.  Survivors are checked once more on the full permutation, since an
-occurrence may straddle the middle.
+Pattern filters prune on the known word: a partial first half fixes its
+mirror image at positions 2n+1-i as well (and an odd length the middle), so
+half + middle + mirror is a subsequence of every completion, and a partial
+half whose known word contains the pattern is cut.  Each node of the search
+gets this one containment test; at a leaf the known word is the whole
+permutation, so the test there is the final filter.
 """
 
 import os
@@ -102,46 +104,29 @@ def _check_cap(spec: ClassSpec):
 def _centro_members(length: int, avoid):
     """Centrosymmetric permutations from first-half choices, filtered."""
     n = length // 2
-    middle = (n + 1,) if length % 2 else ()
-    fast123 = avoid == (1, 2, 3)
-    big = length + 1  # sentinel above every value
+    middle = [n + 1] if length % 2 else []
     half = []
-    used_pairs = set()
+    used_pairs = set(middle)  # the middle value is its own complement
     out = []
 
-    def rec(min_seen, best_pair_tail):
+    def rec():
+        word = half + middle + [length + 1 - w for w in reversed(half)]
+        if avoid is not None and word_contains_pattern(word, avoid):
+            return
         if len(half) == n:
-            values = tuple(half) + middle + tuple(
-                length + 1 - v for v in reversed(half)
-            )
-            if avoid is None or not word_contains_pattern(values, avoid):
-                out.append(Permutation(values))
+            out.append(Permutation(word))
             return
         for v in range(1, length + 1):
-            if length % 2 and v == n + 1:
-                continue
             pair = min(v, length + 1 - v)
             if pair in used_pairs:
                 continue
-            if fast123:
-                if v > best_pair_tail:
-                    continue  # the half already ends an increasing triple
-                tail = min(best_pair_tail, v) if v > min_seen else best_pair_tail
-            else:
-                tail = best_pair_tail
-                if avoid is not None:
-                    half.append(v)
-                    bad = word_contains_pattern(half, avoid)
-                    half.pop()
-                    if bad:
-                        continue
             used_pairs.add(pair)
             half.append(v)
-            rec(min(min_seen, v), tail)
+            rec()
             half.pop()
             used_pairs.remove(pair)
 
-    rec(big, big)
+    rec()
     return out
 
 

@@ -195,6 +195,9 @@ def _class_spec(family: str, n: int) -> oracle.ClassSpec:
 
 def oracle_table(family: str, max_n: int) -> DescentTable:
     """Brute-force descent table, rows n = 0..max_n."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    oracle._check_cap(_class_spec(family, max_n))
     rows = []
     for n in range(max_n + 1):
         hist = oracle.descent_histogram(_class_spec(family, n))

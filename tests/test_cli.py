@@ -1,4 +1,6 @@
+import io
 import json
+import random
 
 import pytest
 
@@ -103,6 +105,23 @@ def test_phi_inv_long_paths(capsys, steps):
     code, member, _ = run(capsys, "phi-inv", steps)
     assert code == 0
     assert run(capsys, "phi", member.strip()) == (0, steps + "\n", "")
+
+
+def test_long_inputs_on_stdin(monkeypatch, capsys):
+    rng = random.Random(5)
+    steps, height = [], 0
+    for _ in range(100000):
+        up = height == 0 or rng.random() < 0.5
+        steps.append("U" if up else "D")
+        height += 1 if up else -1
+    path = "".join(steps)
+    monkeypatch.setattr("sys.stdin", io.StringIO(path + "\n"))
+    code, member, _ = run(capsys, "phi-inv", "-")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(member))
+    assert run(capsys, "phi", "-") == (0, path + "\n", "")
+    monkeypatch.setattr("sys.stdin", io.StringIO("4 2 3 1\n"))
+    assert run(capsys, "perm-stats", "-") == run(capsys, "perm-stats", "4 2 3 1")
 
 
 @pytest.mark.parametrize("error", [VerificationError, RuntimeError])
@@ -246,6 +265,24 @@ def test_table_sources_agree(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize(
+    "max_n, message", [("-1", "max_n must be nonnegative"), ("9", "exceeds cap 16")]
+)
+def test_oracle_table_checks_size_first(monkeypatch, capsys, max_n, message):
+    searched = []
+
+    def search(*args):
+        searched.append(args)
+        return []
+
+    monkeypatch.setattr(cli.oracle, "_centro_members", search)
+    monkeypatch.delenv("CENSYM_MAX_ORACLE_N", raising=False)
+    argv = ("table", "--family", "q", "--max-n", max_n, "--source", "oracle")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, searched) == (3, "", [])
+    assert message in err
 
 
 def test_table_json_cells_are_strings(capsys):

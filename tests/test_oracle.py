@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -10,7 +11,7 @@ from censym.oracle import (
     enumerate_class,
     max_even_length,
 )
-from censym.perms import is_centrosymmetric, avoids_pattern
+from censym.perms import avoids_pattern, is_centrosymmetric, word_contains_pattern
 
 from tests.paper import C6_132, C7_132
 
@@ -140,3 +141,24 @@ def test_avoid_patterns_other_than_length_three():
     assert _texts(spec) == {"54321"}
     spec = ClassSpec(4, centrosymmetric=True, avoid=(2, 1))
     assert _texts(spec) == {"1234"}
+
+
+@pytest.fixture(scope="module")
+def centro_members():
+    """All centrosymmetric permutations of each length 0..10, unfiltered."""
+    return [
+        list(enumerate_class(ClassSpec(length, centrosymmetric=True)))
+        for length in range(11)
+    ]
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [p for k in range(1, 5) for p in permutations(range(1, k + 1))],
+    ids=lambda p: "".join(map(str, p)),
+)
+def test_pruned_search_equals_filter(centro_members, pattern):
+    for length, members in enumerate(centro_members):
+        want = [p for p in members if not word_contains_pattern(p.values, pattern)]
+        spec = ClassSpec(length, centrosymmetric=True, avoid=pattern)
+        assert list(enumerate_class(spec)) == want, (pattern, length)
