@@ -1,15 +1,31 @@
 """Exact truncated bivariate power series; no floating point anywhere.
 
 A series is truncated in x at a fixed order; each x^n coefficient is a
-dense polynomial in y with Fraction coefficients.  Division and square
+dense polynomial in y with exact coefficients: ints, and Fractions only
+where an input or an inexact division brings them in.  Division and square
 root work by coefficient recurrences and need the constant term to be a
 nonzero scalar (respectively exactly 1), which every formula used here
 satisfies after factoring out the appropriate monomial.
+
+The private y-polynomial kernel (`_padd`, `_pmul`, `_pshift`, ...) is the
+package's only polynomial arithmetic; `tables` runs its recurrences on it.
 """
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
+
+def _exact(c):
+    """c as an exact coefficient: ints stay ints, anything else a Fraction."""
+    return c if isinstance(c, int) else Fraction(c)
+
+
+def _div(c, d):
+    """c / d exactly: the int quotient when both are ints and d divides c."""
+    if isinstance(c, int) and isinstance(d, int):
+        q, r = divmod(c, d)
+        if not r:
+            return q
+    return Fraction(c) / d
 
 
 def _trim(poly):
@@ -22,7 +38,7 @@ def _trim(poly):
 def _padd(a, b):
     n = max(len(a), len(b))
     return _trim(
-        (a[i] if i < len(a) else _ZERO) + (b[i] if i < len(b) else _ZERO)
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
         for i in range(n)
     )
 
@@ -31,15 +47,21 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+def _pdot(a, b):
+    """The y-polynomial sum of p * q over the pairs (p, q) of zip(a, b)."""
+    out = []
+    for p, q in zip(a, b):
+        if p and q:
+            out += [0] * (len(p) + len(q) - 1 - len(out))
+            for i, cp in enumerate(p):
+                if cp:
+                    for j, cq in enumerate(q):
+                        out[i + j] += cp * cq
     return _trim(out)
+
+
+def _pmul(a, b):
+    return _pdot((a,), (b,))
 
 
 def _pscale(a, s):
@@ -51,7 +73,7 @@ def _pscale(a, s):
 def _pshift(a, k):
     if not a:
         return ()
-    return (_ZERO,) * k + tuple(a)
+    return (0,) * k + tuple(a)
 
 
 def _pdiv_y(a, k):
@@ -61,7 +83,7 @@ def _pdiv_y(a, k):
 
 
 class BivariateSeries:
-    """A power series in x, truncated at x^order, over Fraction[y]."""
+    """A power series in x, truncated at x^order, over exact polynomials in y."""
 
     __slots__ = ("order", "coeffs")
 
@@ -79,11 +101,11 @@ class BivariateSeries:
         rows = [{} for _ in range(order + 1)]
         for i, j, c in terms:
             if i <= order:
-                rows[i][j] = rows[i].get(j, _ZERO) + Fraction(c)
+                rows[i][j] = rows[i].get(j, 0) + _exact(c)
         coeffs = []
         for row in rows:
             width = max(row) + 1 if row else 0
-            coeffs.append(tuple(row.get(j, _ZERO) for j in range(width)))
+            coeffs.append(tuple(row.get(j, 0) for j in range(width)))
         return cls(order, coeffs)
 
     @classmethod
@@ -94,11 +116,11 @@ class BivariateSeries:
     def one(cls, order: int):
         return cls.constant(order, 1)
 
-    def coefficient(self, i: int, j: int) -> Fraction:
+    def coefficient(self, i: int, j: int) -> "int | Fraction":
         if i > self.order:
             raise IndexError(f"x^{i} is beyond truncation order {self.order}")
         row = self.coeffs[i]
-        return row[j] if j < len(row) else _ZERO
+        return row[j] if j < len(row) else 0
 
     def y_degree(self, i: int) -> int:
         """Degree in y of the x^i coefficient (-1 for zero)."""
@@ -149,31 +171,27 @@ class BivariateSeries:
     def __mul__(self, other):
         other = self._coerce(other)
         order = min(self.order, other.order)
-        out = [() for _ in range(order + 1)]
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: order + 1 - i]):
-                if b:
-                    out[i + j] = _padd(out[i + j], _pmul(a, b))
-        return BivariateSeries(order, out)
+        a, b = self.coeffs, other.coeffs
+        return BivariateSeries(
+            order, (_pdot(a[: n + 1], reversed(b[: n + 1])) for n in range(order + 1))
+        )
 
     __rmul__ = __mul__
 
     def scale(self, s) -> "BivariateSeries":
-        s = Fraction(s)
+        s = _exact(s)
         return BivariateSeries(self.order, (_pscale(c, s) for c in self.coeffs))
 
     def mul_term(self, i: int, j: int, c=1) -> "BivariateSeries":
         """Multiply by c x^i y^j, keeping the truncation order."""
-        c = Fraction(c)
+        c = _exact(c)
         out = [()] * (self.order + 1)
         for a, row in enumerate(self.coeffs):
             if a + i <= self.order and row:
                 out[a + i] = _pscale(_pshift(row, j), c)
         return BivariateSeries(self.order, out)
 
-    def _unit_constant(self) -> Fraction:
+    def _unit_constant(self):
         head = self.coeffs[0]
         if len(head) != 1 or head[0] == 0:
             raise ValueError("constant term must be a nonzero scalar")
@@ -185,25 +203,20 @@ class BivariateSeries:
         order = min(self.order, other.order)
         quotient = []
         for i in range(order + 1):
-            acc = self.coeffs[i] if i <= self.order else ()
-            for j in range(1, i + 1):
-                b = other.coeffs[j] if j <= other.order else ()
-                if b and quotient[i - j]:
-                    acc = _padd(acc, _pneg(_pmul(b, quotient[i - j])))
-            quotient.append(_pscale(acc, Fraction(1, 1) / c0))
+            known = _pdot(other.coeffs[1 : i + 1], reversed(quotient))
+            acc = _padd(self.coeffs[i], _pneg(known))
+            quotient.append(tuple(_div(c, c0) for c in acc))
         return BivariateSeries(order, quotient)
 
     def sqrt(self) -> "BivariateSeries":
         """Square root of a series with constant term exactly 1."""
-        if self.coeffs[0] != (Fraction(1),):
+        if self.coeffs[0] != (1,):
             raise ValueError("constant term must be 1")
-        half = Fraction(1, 2)
-        root = [(Fraction(1),)]
+        root = [(1,)]
         for i in range(1, self.order + 1):
-            acc = self.coeffs[i]
-            for j in range(1, i):
-                acc = _padd(acc, _pneg(_pmul(root[j], root[i - j])))
-            root.append(_pscale(acc, half))
+            known = _pdot(root[1:i], reversed(root[1:i]))
+            acc = _padd(self.coeffs[i], _pneg(known))
+            root.append(tuple(_div(c, 2) for c in acc))
         return BivariateSeries(self.order, root)
 
     def div_x(self, k: int) -> "BivariateSeries":
@@ -222,7 +235,7 @@ class BivariateSeries:
         """The series with y replaced by y^2."""
         out = []
         for row in self.coeffs:
-            spread = [_ZERO] * (2 * len(row) - 1 if row else 0)
+            spread = [0] * (2 * len(row) - 1 if row else 0)
             for j, c in enumerate(row):
                 spread[2 * j] = c
             out.append(tuple(spread))
@@ -349,6 +362,8 @@ def build_named_series(name: str, order: int) -> BivariateSeries:
     Every coefficient must come out a nonnegative-size integer polynomial
     in y of degree at most 2n+1 in row n; violations raise.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if name not in _BUILDERS:
         raise ValueError(f"unknown series {name!r} (choose from {NAMED_SERIES})")
     s = _BUILDERS[name](order)

@@ -10,18 +10,20 @@ Families index descent histograms by (n, d):
   ck  members of k whose path image is elevated
   g   members of t whose path image is an elevated proper prefix
 
-The recurrence tables are the normative output.  The closed-form series
-are verification inputs: where a printed closed form is known to disagree
-with the combinatorially verified table (Q's constant term, R's missing
-(1+y^2) factor, the empty-path cells of CK and S), the mismatch is
-reported as a paper discrepancy rather than a failure.
+The recurrence tables are the normative output; their rows are
+y-polynomials on the series module's kernel, and they never read a closed
+form (only series_table does).  The closed-form series are verification
+inputs: where a printed closed form is known to disagree with the
+combinatorially verified table (Q's constant term, R's missing (1+y^2)
+factor, the empty-path cells of CK and S), the mismatch is reported as a
+paper discrepancy rather than a failure.
 """
 
 from dataclasses import dataclass, field
 from math import comb
 
 from . import oracle
-from .series import build_named_series
+from .series import _padd, _pdot, _pmul, _pneg, _pshift, _trim, build_named_series
 
 FAMILIES = ("q", "r", "v", "k", "ck", "g", "t")
 FAMILY_SERIES = {
@@ -56,11 +58,15 @@ class DescentTable:
         return max((len(row) for row in self.rows), default=0)
 
 
+def _check_request(family, max_n):
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r} (choose from {FAMILIES})")
+
+
 def _trim_row(row):
-    row = list(row)
-    while len(row) > 1 and row[-1] == 0:
-        row.pop()
-    return tuple(row)
+    return _trim(row) or (0,)
 
 
 def _table_q(max_n):
@@ -79,102 +85,71 @@ def _table_r(max_n):
     return rows
 
 
-def _table_v(max_n):
-    """v rows come from E's coefficients pushed up by y^2: v[n][2k+2] = e[n][k]."""
-    e_rows = build_named_series("E", max_n).integer_rows()
-    rows = [(1,)]
-    for n in range(1, max_n + 1):
-        row = [0] * (2 * n + 1)
-        for k, c in enumerate(e_rows[n]):
-            row[2 * k + 2] = c
-        rows.append(tuple(row))
-    return rows
+def _table_v(k):
+    """v_0 = 1 and v_n = y k_n, that is V = 1 + y(K - 1).
+
+    A v member of size n >= 1 is odd_embed of some alpha in S_n(123) and has
+    2 des(alpha) + 2 descents; a k member has 2(tf + valleys) + 1 for its
+    Dyck path.  des on S_n(123) and tf + valleys on Dyck paths of semilength
+    n have one distribution, so the odd class is the Dyck class with one
+    descent more.  In closed form V - 1 = y(K - 1) = (P - root) / (2xy^2 h),
+    with h = 1 + x - xy^2, P = 1 - 2xy^2 h and root^2 = 1 - 4xy^2 h.
+    """
+    return [(1,)] + [_pshift(row, 1) for row in k[1:]]
 
 
 def _tables_k_ck(max_n):
     """Mutual recurrence for Dyck-path members and the elevated subfamily.
 
-    ck[n][d] = k[n-1][d-2] - k[n-2][d-4] + k[n-2][d-2] holds from n = 3 on;
-    the n <= 2 rows are seeded (the printed n = 2 instance would create a
-    spurious entry at d = 3).  k rows follow by splitting a Dyck path at
-    its first return, which joins descents with an offset of one.
+    Rows are y-polynomials (row n of K and CK as coefficient tuples).
+    ck_n = y^2 k_(n-1) + (y^2 - y^4) k_(n-2) holds from n = 3 on; the n <= 2
+    rows are seeded (the printed n = 2 instance would create a spurious
+    entry at d = 3).  Splitting a Dyck path at its first return gives
+    k_n = ck_n + y sum_(0<i<n) ck_i k_(n-i): the join adds one descent.
     """
-    k = {0: (1,), 1: (0, 1)}
-    ck = {0: (0,), 1: (0, 1), 2: (0, 1)}
-
-    def at(table, n, d):
-        if n not in table or d < 0:
-            return 0
-        row = table[n]
-        return row[d] if d < len(row) else 0
-
+    k = [(1,), (0, 1)]
+    ck = [(), (0, 1), (0, 1)]
     for n in range(2, max_n + 1):
         if n >= 3:
-            ck[n] = tuple(
-                at(k, n - 1, d - 2) - at(k, n - 2, d - 4) + at(k, n - 2, d - 2)
-                for d in range(2 * n)
+            ck.append(
+                _padd(_pshift(k[n - 1], 2), _pmul((0, 0, 1, 0, -1), k[n - 2]))
             )
-        k[n] = tuple(
-            at(ck, n, d)
-            + sum(
-                at(ck, i, j) * at(k, n - i, d - 1 - j)
-                for i in range(1, n)
-                for j in range(d)
-            )
-            for d in range(2 * n)
-        )
+        split = _pdot(ck[1:n], reversed(k[1:n]))
+        k.append(_padd(ck[n], _pshift(split, 1)))
     return k, ck
 
 
-def _tables_g_t(max_n):
-    """g from shifted t rows, t by splitting at the last return."""
-    k, _ = _tables_k_ck(max_n)
+def _tables_g_t(k, max_n):
+    """g from shifted t rows, t by splitting at the last return.
 
-    def at(table, n, d):
-        if n not in table or d < 0:
-            return 0
-        row = table[n]
-        return row[d] if d < len(row) else 0
-
-    g = {0: (0,), 1: (1,)}
-    t = {0: (1,), 1: (1, 1)}
+    g_n = (y + y^2) t_(n-1) - y^2 k_(n-1) and
+    t_n = g_n + k_n + y sum_(0<i<n) g_i k_(n-i), on the k rows given.
+    """
+    g = [(), (1,)]
+    t = [(1,), (1, 1)]
     for n in range(2, max_n + 1):
-        g[n] = tuple(
-            at(t, n - 1, d - 1) + at(t, n - 1, d - 2) - at(k, n - 1, d - 2)
-            for d in range(2 * n)
-        )
-        t[n] = tuple(
-            at(g, n, d)
-            + at(k, n, d)
-            + sum(
-                at(g, i, j) * at(k, n - i, d - 1 - j)
-                for i in range(1, n)
-                for j in range(d)
-            )
-            for d in range(2 * n)
-        )
+        g.append(_padd(_pmul((0, 1, 1), t[n - 1]), _pneg(_pshift(k[n - 1], 2))))
+        split = _pdot(g[1:n], reversed(k[1:n]))
+        t.append(_padd(_padd(g[n], k[n]), _pshift(split, 1)))
     return g, t
 
 
 def build_table(family: str, max_n: int) -> DescentTable:
     """The recurrence/formula table for a family, rows n = 0..max_n."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    _check_request(family, max_n)
     if family == "q":
         rows = _table_q(max_n)
     elif family == "r":
         rows = _table_r(max_n)
-    elif family == "v":
-        rows = _table_v(max_n)
-    elif family in ("k", "ck"):
-        k, ck = _tables_k_ck(max_n)
-        rows = [(k if family == "k" else ck)[n] for n in range(max_n + 1)]
-    elif family in ("g", "t"):
-        g, t = _tables_g_t(max_n)
-        rows = [(g if family == "g" else t)[n] for n in range(max_n + 1)]
     else:
-        raise ValueError(f"unknown family {family!r} (choose from {FAMILIES})")
-    return DescentTable(family, tuple(_trim_row(r) for r in rows))
+        k, ck = _tables_k_ck(max_n)
+        if family == "v":
+            rows = _table_v(k)
+        elif family in ("g", "t"):
+            rows = _tables_g_t(k, max_n)[family == "t"]
+        else:
+            rows = k if family == "k" else ck
+    return DescentTable(family, tuple(_trim_row(r) for r in rows[: max_n + 1]))
 
 
 def _class_spec(family: str, n: int) -> oracle.ClassSpec:
@@ -195,8 +170,7 @@ def _class_spec(family: str, n: int) -> oracle.ClassSpec:
 
 def oracle_table(family: str, max_n: int) -> DescentTable:
     """Brute-force descent table, rows n = 0..max_n."""
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    _check_request(family, max_n)
     oracle._check_cap(_class_spec(family, max_n))
     rows = []
     for n in range(max_n + 1):
@@ -208,8 +182,9 @@ def oracle_table(family: str, max_n: int) -> DescentTable:
 
 def series_table(family: str, max_n: int) -> DescentTable:
     """Closed-form table: coefficient rows of the family's named series."""
+    _check_request(family, max_n)
     rows = build_named_series(FAMILY_SERIES[family], max_n).integer_rows()
-    return DescentTable(family, tuple(_trim_row(r) if r else (0,) for r in rows))
+    return DescentTable(family, tuple(_trim_row(r) for r in rows))
 
 
 def known_series_discrepancy(family: str, n: int, d: int) -> str | None:

@@ -285,6 +285,23 @@ def test_oracle_table_checks_size_first(monkeypatch, capsys, max_n, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("table", "--family", "t", "--max-n", "-1", "--source", "series"),
+            "max_n must be nonnegative",
+        ),
+        (("series", "--name", "T", "--order", "-1"), "order must be nonnegative"),
+    ],
+    ids=["table", "series"],
+)
+def test_series_checks_size_first(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert message in err
+
+
 def test_table_json_cells_are_strings(capsys):
     code, out, _ = run(
         capsys,

@@ -140,6 +140,18 @@ def test_catalan_generating_function():
     ]
 
 
+@pytest.mark.parametrize("name", NAMED_SERIES)
+def test_named_series_coefficients_are_ints(name):
+    series = build_named_series(name, 12)
+    assert all(type(c) is int for row in series.coeffs for c in row)
+
+
+def test_inexact_division_gives_a_fraction():
+    half = BivariateSeries.one(2) / BivariateSeries.constant(2, 2)
+    assert half.coefficient(0, 0) == Fraction(1, 2)
+    assert type(half.coefficient(0, 0)) is Fraction
+
+
 def test_integer_rows_rejects_fractions():
     s = BivariateSeries(1, [(Fraction(1, 2),), ()])
     with pytest.raises(ValueError):
@@ -158,8 +170,14 @@ def test_named_series_are_integral(name):
 def test_named_series_validation():
     with pytest.raises(ValueError):
         build_named_series("Z", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
         build_named_series("T", -1)
+
+
+def test_v_series_is_one_plus_y_times_k_minus_one():
+    v = build_named_series("V", 40)
+    k = build_named_series("K", 40)
+    assert v == 1 + (k - 1).mul_term(0, 1)
 
 
 def test_series_T_matches_frozen_rows():
@@ -205,9 +223,37 @@ def test_oracle_table_small():
 
 def test_series_tables_match_recurrences_where_defined():
     for family in ("v", "k", "t"):
-        ser = series_table(family, 6)
-        rec = build_table(family, 6)
+        ser = series_table(family, 40)
+        rec = build_table(family, 40)
         assert ser.rows == rec.rows
+
+
+def catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+ROW_SUMS = {
+    "q": lambda n: 2**n,
+    "r": lambda n: 2**n,
+    "v": catalan,
+    "t": lambda n: comb(2 * n, n),
+    "k": catalan,
+    "ck": lambda n: catalan(n - 1) if n else 0,
+    "g": lambda n: comb(2 * n - 1, n - 1) if n else 0,
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROW_SUMS))
+def test_table_row_sums_match_paper_counts(family):
+    rows = build_table(family, 60).rows
+    assert [sum(row) for row in rows] == [ROW_SUMS[family](n) for n in range(61)]
+
+
+def test_series_table_validation():
+    with pytest.raises(ValueError, match="unknown family 'x'"):
+        series_table("x", 3)
+    with pytest.raises(ValueError, match="max_n must be nonnegative"):
+        series_table("t", -1)
 
 
 def test_known_discrepancy_cells():
