@@ -14,10 +14,11 @@ minima, so phi(p) is a Dyck path exactly when p has none.
 
 Both directions run as one loop over the blocks.  Instead of renormalizing
 the remainder, they keep its alphabet (the values of {1..2n} not yet
-removed with their complements) in a Fenwick tree: a value's rank there is
-its renormalized value, and select turns a renormalized value back into
-an original one.  So phi and phi_inverse take O(n log n) time and no
-recursion.
+removed with their complements) in a Fenwick tree, perms._Alphabet: a
+value's rank there is its renormalized value, and select turns a
+renormalized value back into an original one.  phi reads its blocks from
+perms._walk_blocks, the block walk that the minima decomposition uses
+too.  So phi and phi_inverse take O(n log n) time and no recursion.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,8 @@ from .perms import (
     InvalidPermutation,
     Permutation,
     VerificationError,
+    _Alphabet,
+    _walk_blocks,
     avoids_pattern,
     contains_pattern,
     descent_count,
@@ -85,109 +88,51 @@ class PhiTrace:
         return tuple(out)
 
 
-class _Alphabet:
-    """The live values of {1..size}, as a Fenwick tree of 0/1 counts.
-
-    rank, select and remove each take O(log size).
-    """
-
-    def __init__(self, size):
-        self._tree = [i & -i for i in range(size + 1)]  # all values live
-        self._top = 1 << size.bit_length() >> 1
-
-    def rank(self, v):
-        """Number of live values <= v."""
-        tree, r = self._tree, 0
-        while v:
-            r += tree[v]
-            v &= v - 1
-        return r
-
-    def select(self, r):
-        """The r-th smallest live value, 1 <= r <= the number live."""
-        tree, pos, step = self._tree, 0, self._top
-        while step:
-            nxt = pos + step
-            if nxt < len(tree) and tree[nxt] < r:
-                pos = nxt
-                r -= tree[nxt]
-            step >>= 1
-        return pos + 1
-
-    def remove(self, v):
-        """Remove the live value v."""
-        tree = self._tree
-        while v < len(tree):
-            tree[v] -= 1
-            v += v & -v
-
-
 def _phi_blocks(w):
-    """Emit (fragments, deletions, tiny flags) for a half word on {1..2n}.
+    """The blocks of a half word on {1..2n} as PhiBlock field tuples.
 
-    w must be the first half of a valid member.  Fragment i is the block's
-    emitted steps with the deletion of block i-1 already trimmed off.
+    w must be the first half of a valid member.  A block's emitted steps
+    have the deletion of the block before already trimmed off, so they
+    concatenate to phi's path.
     """
-    full = 2 * len(w)
-    alphabet = _Alphabet(full)
-    fragments, deletions, tiny_flags = [], [], []
-    n = len(w)  # half length of the remainder
-    i = 0
-    while i < len(w):
-        x = w[i]
-        j = i + 1
-        while j < len(w) and w[j] > x:
-            j += 1
-        l1 = j - i - 1
-        x1 = alphabet.rank(x)  # x renormalized onto the remainder's {1..2n}
+    blocks = []
+    previous = 0  # the deletion of the block before
+    for x, word, x1, n, tiny in _walk_blocks(w):
+        l1 = len(word)
         k = 2 * n + 1 - x1
-        tiny = x1 == n
         downs, delete = (l1, k - l1 - 2) if tiny else (l1 + 1, k - l1 - 1)
-        previous = deletions[-1] if deletions else 0
         if previous > k and downs:
             raise VerificationError("removed steps must all be ups")
-        fragments.append("U" * (k - previous) + "D" * downs)
-        deletions.append(delete)
-        tiny_flags.append(tiny)
-        for v in w[i:j]:
-            alphabet.remove(v)
-            alphabet.remove(full + 1 - v)
-        n -= l1 + 1
-        i = j
-    if deletions and deletions[-1]:
-        raise VerificationError(
-            f"last block deletes {deletions[-1]} steps of an empty path"
-        )
-    return fragments, deletions, tiny_flags
+        emitted = "U" * (k - previous) + "D" * downs
+        blocks.append((x, word, tiny, emitted, delete))
+        previous = delete
+    if previous:
+        raise VerificationError(f"last block deletes {previous} steps of an empty path")
+    return blocks
 
 
 def phi(p: Permutation) -> LatticePath:
     """Map a member of the even centrosymmetric 123-avoiding class to its path."""
     require_member(p)
-    fragments, _, _ = _phi_blocks(p.values[: len(p) // 2])
-    return LatticePath("".join(fragments))
+    blocks = _phi_blocks(p.values[: len(p) // 2])
+    return LatticePath("".join(emitted for _, _, _, emitted, _ in blocks))
 
 
 def phi_trace(p: Permutation) -> PhiTrace:
     """phi with per-block bookkeeping (validates membership)."""
-    dec = minima_decomposition(p)
-    fragments, deletions, tiny_flags = _phi_blocks(p.values[: len(p) // 2])
-    if tuple(tiny_flags) != dec.tiny_flags:
-        raise VerificationError(f"phi and the minima decomposition disagree on {p}")
-    blocks = tuple(
-        PhiBlock(minimum=x, word=wi, tiny=t, emitted=f, deleted=d)
-        for (x, wi), t, f, d in zip(dec.blocks, tiny_flags, fragments, deletions)
-    )
+    require_member(p)
+    blocks = tuple(PhiBlock(*b) for b in _phi_blocks(p.values[: len(p) // 2]))
     predicted = None
-    if not any(tiny_flags):
-        predicted = _predicted_heights(dec, len(p) // 2)
+    if not any(b.tiny for b in blocks):
+        pairs = [(b.minimum, b.word) for b in blocks]
+        predicted = _predicted_heights(pairs, len(p) // 2)
     return PhiTrace(blocks=blocks, predicted_heights=predicted)
 
 
-def _predicted_heights(dec, n):
+def _predicted_heights(blocks, n):
     out = []
     consumed = 0  # l_1 + ... + l_{j-1}
-    for j, (x, wi) in enumerate(dec.blocks, start=1):
+    for j, (x, wi) in enumerate(blocks, start=1):
         after_first_descent = 2 * n - (j - 1) - x - consumed
         consumed += len(wi)
         after_block = 2 * n - (j - 1) - x - consumed
@@ -200,7 +145,7 @@ def predicted_heights(p: Permutation) -> tuple:
     dec = minima_decomposition(p)
     if any(dec.tiny_flags):
         raise InvalidPermutation("height formulas require a member with no tiny minima")
-    return _predicted_heights(dec, len(p) // 2)
+    return _predicted_heights(dec.blocks, len(p) // 2)
 
 
 def _inv_half(steps: str):

@@ -254,14 +254,6 @@ def descents_from_half(p: Permutation) -> int:
     return 2 * d + (1 if w[-1] > n else 0)
 
 
-def middle_element(alphabet) -> int:
-    """Lower median of an even-size sorted alphabet: entry at index h of 2h."""
-    h, odd = divmod(len(alphabet), 2)
-    if odd or h == 0:
-        raise ValueError("alphabet must have positive even size")
-    return alphabet[h - 1]
-
-
 def rank_within(word, alphabet) -> tuple:
     """Rewrite a word over a sorted alphabet by ranks (order isomorphism)."""
     rank = {a: i for i, a in enumerate(alphabet, start=1)}
@@ -271,6 +263,73 @@ def rank_within(word, alphabet) -> tuple:
 def embed_in(word, alphabet) -> tuple:
     """Inverse of rank_within: send value v to the v-th smallest symbol."""
     return tuple(alphabet[v - 1] for v in word)
+
+
+class _Alphabet:
+    """The live values of {1..size}, as a Fenwick tree of 0/1 counts.
+
+    rank, select and remove each take O(log size).
+    """
+
+    def __init__(self, size):
+        self._tree = [i & -i for i in range(size + 1)]  # all values live
+        self._top = 1 << size.bit_length() >> 1
+
+    def rank(self, v):
+        """Number of live values <= v."""
+        tree, r = self._tree, 0
+        while v:
+            r += tree[v]
+            v &= v - 1
+        return r
+
+    def select(self, r):
+        """The r-th smallest live value, 1 <= r <= the number live."""
+        tree, pos, step = self._tree, 0, self._top
+        while step:
+            nxt = pos + step
+            if nxt < len(tree) and tree[nxt] < r:
+                pos = nxt
+                r -= tree[nxt]
+            step >>= 1
+        return pos + 1
+
+    def remove(self, v):
+        """Remove the live value v."""
+        tree = self._tree
+        while v < len(tree):
+            tree[v] -= 1
+            v += v & -v
+
+
+def _walk_blocks(w):
+    """Walk the minima blocks of a half word w on {1..2n}, left to right.
+
+    Yields (x, word, rank, n, tiny) for each block x word: rank is x's rank
+    among the live values A_{i-1} (x renormalized onto the remainder's
+    {1..2n}), n is the remainder's half length, so |A_{i-1}| = 2n, and
+    tiny says whether x is the lower median of A_{i-1}.  A word holding
+    a value twice, or a value and its complement, would remove a value
+    twice and raises VerificationError before the first block.
+    """
+    full = 2 * len(w)
+    if len({*w, *(full + 1 - v for v in w)}) != full:
+        raise VerificationError("a block removes a value twice")
+    alphabet = _Alphabet(full)
+    n = len(w)
+    i = 0
+    while i < len(w):
+        x = w[i]
+        j = i + 1
+        while j < len(w) and w[j] > x:
+            j += 1
+        rank = alphabet.rank(x)
+        yield x, w[i + 1 : j], rank, n, rank == n
+        for v in w[i:j]:
+            alphabet.remove(v)
+            alphabet.remove(full + 1 - v)
+        n -= j - i
+        i = j
 
 
 @dataclass(frozen=True)
@@ -285,8 +344,6 @@ class MinimaDecomposition:
     """
 
     blocks: tuple  # ((x_i, w_i), ...) with w_i a tuple of values
-    alphabets: tuple  # sorted tuples A_0 .. A_s
-    middles: tuple  # lower medians m(A_0) .. m(A_{s-1})
     tiny_flags: tuple
 
     @property
@@ -306,40 +363,10 @@ class MinimaDecomposition:
 def minima_decomposition(p: Permutation) -> MinimaDecomposition:
     """Decompose the first half of p (must avoid 123) at its minima."""
     require_member(p)
-    n2 = len(p)
-    w = p.values[: n2 // 2]
-
-    blocks = []
-    i = 0
-    while i < len(w):
-        x = w[i]
-        j = i + 1
-        while j < len(w) and w[j] > x:
-            j += 1
-        blocks.append((x, w[i + 1 : j]))
-        i = j
-
-    alphabet = tuple(range(1, n2 + 1))
-    alphabets = [alphabet]
-    middles = []
-    tiny_flags = []
-    for x, wi in blocks:
-        middles.append(middle_element(alphabet))
-        tiny_flags.append(x == middles[-1])
-        removed = {x, n2 + 1 - x}
-        for v in wi:
-            removed.add(v)
-            removed.add(n2 + 1 - v)
-        alphabet = tuple(a for a in alphabet if a not in removed)
-        if len(alphabets[-1]) - len(alphabet) != 2 + 2 * len(wi):
-            raise VerificationError(f"block {x} of {p} removes a value twice")
-        alphabets.append(alphabet)
-
+    walk = list(_walk_blocks(p.values[: len(p) // 2]))
     return MinimaDecomposition(
-        blocks=tuple(blocks),
-        alphabets=tuple(alphabets),
-        middles=tuple(middles),
-        tiny_flags=tuple(tiny_flags),
+        blocks=tuple((x, word) for x, word, _, _, _ in walk),
+        tiny_flags=tuple(tiny for *_, tiny in walk),
     )
 
 

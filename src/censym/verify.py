@@ -310,11 +310,10 @@ def _block_heights(max_n, cap, seed, notes):
     failures, count = [], 0
     for n in range(min(max_n, cap // 2) + 1):
         for p in bijection.generate_c123_even(2 * n):
-            dec = perms.minima_decomposition(p)
-            if any(dec.tiny_flags):
-                continue
             trace = bijection.phi_trace(p)
-            if bijection.predicted_heights(p) != trace.block_heights():
+            if trace.predicted_heights is None:
+                continue
+            if trace.predicted_heights != trace.block_heights():
                 failures.append(f"predicted heights differ for {p}")
             count += 1
     return failures, count

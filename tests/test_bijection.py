@@ -81,6 +81,8 @@ def test_phi_blocks_guards():
         _phi_blocks((1, 2))
     with pytest.raises(VerificationError, match="removed steps must all be ups"):
         _phi_blocks((3, 4, 2, 8))
+    with pytest.raises(VerificationError, match="a block removes a value twice"):
+        _phi_blocks((1, 4))
 
 
 @st.composite
@@ -108,9 +110,8 @@ def test_phi_properties_on_long_prefixes(path):
     assert components == 2 * path.returns + (not path.is_dyck_path)
 
 
-# minima_decomposition keeps every alphabet, O(n * blocks), hence the cap
 @settings(deadline=None, max_examples=40)
-@given(dyck_prefixes(2000))
+@given(dyck_prefixes(10**4))
 def test_final_height_on_random_prefixes(path):
     tiny = minima_decomposition(phi_inverse(path)).tiny_flags
     assert path.final_height == 2 * sum(tiny)
@@ -154,6 +155,8 @@ def test_predicted_heights_on_no_tiny_members(catalogue):
             if any(minima_decomposition(p).tiny_flags):
                 with pytest.raises(InvalidPermutation):
                     predicted_heights(p)
+            else:
+                assert predicted_heights(p) == phi_trace(p).predicted_heights
 
 
 def test_composite_factorization(catalogue):

@@ -17,7 +17,6 @@ from censym.perms import (
     left_half_word,
     lis_length,
     ltr_minima,
-    middle_element,
     minima_decomposition,
     parse_permutation,
     rank_within,
@@ -28,6 +27,7 @@ from censym.perms import (
     word_contains_pattern,
 )
 
+from censym.bijection import generate_c123_even
 from tests.paper import PHI_FIGURE
 
 perms_upto = lambda m: st.integers(1, m).flatmap(
@@ -161,15 +161,6 @@ def test_descent_set_mirror_symmetry(catalogue):
     assert catalogue(3, "mirror-symmetric descent sets").ok
 
 
-def test_middle_element():
-    assert middle_element((1, 2, 3, 4)) == 2
-    assert middle_element((2, 3, 6, 7)) == 3
-    with pytest.raises(ValueError):
-        middle_element((1, 2, 3))
-    with pytest.raises(ValueError):
-        middle_element(())
-
-
 def test_rank_within_known_block():
     alphabet = (3, 4, 5, 7, 8, 9, 10, 12, 13, 14)
     assert rank_within((9, 7, 14, 13, 12), alphabet) == (6, 4, 10, 9, 8)
@@ -182,14 +173,41 @@ def test_require_member_messages():
         require_member(Permutation((1, 2, 3, 4)))
 
 
+def paper_alphabets(p):
+    """The alphabets A_0 .. A_s of p's minima decomposition as sorted
+    tuples, by the definition: A_i is A_{i-1} without block i's entries
+    and their complements."""
+    m = len(p)
+    alphabets = [tuple(range(1, m + 1))]
+    for x, w in minima_decomposition(p).blocks:
+        removed = {x, *w}
+        removed |= {m + 1 - v for v in removed}
+        alphabets.append(tuple(a for a in alphabets[-1] if a not in removed))
+    return alphabets
+
+
+def lower_median(alphabet):
+    return alphabet[len(alphabet) // 2 - 1]
+
+
 def test_minima_decomposition_of_figure_member():
-    dec = minima_decomposition(parse_permutation(PHI_FIGURE[0]))
+    p = parse_permutation(PHI_FIGURE[0])
+    dec = minima_decomposition(p)
     assert dec.minima == (11, 9, 7)
     assert dec.lengths == (2, 0, 3)
     assert dec.tiny_flags == (False, False, True)
-    assert dec.alphabets[0] == tuple(range(1, 17))
-    assert dec.alphabets[1] == (3, 4, 5, 7, 8, 9, 10, 12, 13, 14)
-    assert dec.middles[0] == 8
+    alphabets = paper_alphabets(p)
+    assert alphabets[0] == tuple(range(1, 17))
+    assert alphabets[1] == (3, 4, 5, 7, 8, 9, 10, 12, 13, 14)
+    assert lower_median(alphabets[0]) == 8
+
+
+def test_tiny_flags_are_lower_medians():
+    for n in range(7):
+        for p in generate_c123_even(2 * n):
+            dec = minima_decomposition(p)
+            medians = map(lower_median, paper_alphabets(p))
+            assert dec.tiny_flags == tuple(x == m for x, m in zip(dec.minima, medians))
 
 
 def test_minima_decomposition_tiny_flags_monotone(catalogue):
