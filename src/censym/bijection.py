@@ -29,9 +29,7 @@ from .perms import (
     VerificationError,
     _Alphabet,
     _walk_blocks,
-    avoids_pattern,
     contains_pattern,
-    descent_count,
     embed_in,
     is_centrosymmetric,
     minima_decomposition,

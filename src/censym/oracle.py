@@ -6,12 +6,20 @@ contributes exactly one value to the first half, and the second half is
 forced (odd lengths pin the middle fixed point).  That is n! 2^n candidates
 for length 2n instead of (2n)!.
 
-Pattern filters prune on the known word: a partial first half fixes its
-mirror image at positions 2n+1-i as well (and an odd length the middle), so
-half + middle + mirror is a subsequence of every completion, and a partial
-half whose known word contains the pattern is cut.  Each node of the search
-gets this one containment test; at a leaf the known word is the whole
-permutation, so the test there is the final filter.
+Pattern filters prune on what every completion of a partial first half
+must contain.  The half fixes its mirror image at positions 2n+1-i as well
+(and an odd length the middle), so half + middle + mirror is a
+subsequence of every completion.  Each value x of a complement pair not
+yet used lands between the half and its mirror, whichever of the pair the
+half takes later, so half + [x] + mirror is a subsequence of every
+completion too.  A node is cut as soon as one of these known words
+contains the pattern; at a leaf the known word is the whole permutation,
+so the test there is the final filter.  The cuts drop only branches
+without members, so the members come out in the same (lexicographic)
+order as an unpruned search.
+
+The k, ck and g subclasses are read off the permutation alone (see
+_subclass_match), so this module imports nothing but perms.
 """
 
 import os
@@ -19,9 +27,12 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 
-from .bijection import phi
-from .paths import classify
-from .perms import Permutation, descent_count, word_contains_pattern
+from .perms import (
+    Permutation,
+    descent_count,
+    right_connected_components,
+    word_contains_pattern,
+)
 
 GENERAL_MAX_LENGTH = 9
 DEFAULT_MAX_EVEN_LENGTH = 16
@@ -106,27 +117,28 @@ def _centro_members(length: int, avoid):
     n = length // 2
     middle = [n + 1] if length % 2 else []
     half = []
-    used_pairs = set(middle)  # the middle value is its own complement
     out = []
 
-    def rec():
-        word = half + middle + [length + 1 - w for w in reversed(half)]
-        if avoid is not None and word_contains_pattern(word, avoid):
+    def rec(free):
+        # free: the values of the complement pairs the half has not used
+        mirror = [length + 1 - w for w in reversed(half)]
+        if avoid is not None and (
+            word_contains_pattern(half + middle + mirror, avoid)
+            or any(word_contains_pattern(half + [x] + mirror, avoid) for x in free)
+        ):
             return
         if len(half) == n:
-            out.append(Permutation(word))
+            out.append(Permutation._trusted(half + middle + mirror))
             return
-        for v in range(1, length + 1):
-            pair = min(v, length + 1 - v)
-            if pair in used_pairs:
-                continue
-            used_pairs.add(pair)
+        for v in free:
             half.append(v)
-            rec()
+            rec([w for w in free if w != v and w != length + 1 - v])
             half.pop()
-            used_pairs.remove(pair)
 
-    rec()
+    rec([v for v in range(1, length + 1) if v not in middle])
+    # rec's closure holds rec itself and out; without this the cycle keeps
+    # every member alive until the cyclic garbage collector runs
+    del rec
     return out
 
 
@@ -134,19 +146,27 @@ def _general_members(length: int, avoid):
     out = []
     for values in _all_permutations(range(1, length + 1)):
         if avoid is None or not word_contains_pattern(values, avoid):
-            out.append(Permutation(values))
+            out.append(Permutation._trusted(values))
     return out
 
 
 def _subclass_match(p: Permutation, name: str) -> bool:
-    c = classify(phi(p))
+    """Subclass of an even centrosymmetric 123-avoider, from p alone.
+
+    p is in k (its path image is a Dyck path) when its first half holds
+    only values above n; with c right components, ck is k with c == 2,
+    g is not k with c == 1, and composite is the rest.
+    """
+    n = len(p) // 2
+    high = all(v > n for v in p.values[:n])
+    c = len(right_connected_components(p))
     if name == "k":
-        return c.is_dyck_path
+        return high
     if name == "ck":
-        return c.is_dyck_path and c.is_elevated
+        return high and c == 2
     if name == "g":
-        return not c.is_dyck_path and c.split is None
-    return c.split is not None  # composite
+        return not high and c == 1
+    return not high and c != 1  # composite
 
 
 def enumerate_class(spec: ClassSpec):

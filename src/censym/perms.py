@@ -8,6 +8,7 @@ every class here and anchors the recurrences at n = 0.
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 
 
 class InvalidPermutation(ValueError):
@@ -42,6 +43,13 @@ class Permutation:
                 raise InvalidPermutation(f"duplicate value {v} at position {pos}")
             seen.add(v)
         self.values = values
+
+    @classmethod
+    def _trusted(cls, values):
+        """A permutation of values the library built itself, unchecked."""
+        p = object.__new__(cls)
+        p.values = tuple(values)
+        return p
 
     @property
     def n(self) -> int:
@@ -124,19 +132,12 @@ def lis_length(seq) -> int:
     return len(tails)
 
 
-def word_contains_pattern(word, pattern) -> bool:
-    """Classical containment for a word of distinct integers.
+def _backtrack_contains(word: tuple, pattern: tuple) -> bool:
+    """Containment by pruned backtracking over positions.
 
-    The pattern 123 gets a fast path (longest increasing subsequence of
-    length 3).  Everything else goes through pruned backtracking over
-    positions: an occurrence is grown left to right and every partial
-    choice must already be order-isomorphic to the corresponding pattern
-    prefix.
+    An occurrence is grown left to right, and every partial choice must
+    already be order-isomorphic to the corresponding pattern prefix.
     """
-    pattern = tuple(pattern)
-    if pattern == (1, 2, 3):
-        return lis_length(word) >= 3
-    word = tuple(word)
     n, k = len(word), len(pattern)
     if k == 0:
         return True
@@ -160,6 +161,70 @@ def word_contains_pattern(word, pattern) -> bool:
         return False
 
     return extend([], 0)
+
+
+def _has_ascent(word) -> bool:
+    return any(a < b for a, b in zip(word, word[1:]))
+
+
+def _contains_123(word) -> bool:
+    """Left to right, keeping the least value and the least end of an ascent."""
+    low = mid = inf
+    for v in word:
+        if v > mid:
+            return True
+        if v > low:
+            mid = v
+        else:
+            low = v
+    return False
+
+
+def _contains_132(word) -> bool:
+    """Right to left: a stack of candidate 2s and the largest 2 under a 3."""
+    two = -inf
+    stack = []
+    for v in reversed(word):
+        if v < two:
+            return True
+        while stack and stack[-1] < v:
+            two = stack.pop()
+        stack.append(v)
+    return False
+
+
+# Patterns of length 1 to 3 and their linear scans; reverse (w[::-1]) and
+# complement (negation, which reverses the order) carry 321 onto 123 and
+# 231, 312, 213 onto 132.
+_SCANS = {
+    (1,): bool,
+    (1, 2): _has_ascent,
+    (2, 1): lambda w: _has_ascent(w[::-1]),
+    (1, 2, 3): _contains_123,
+    (3, 2, 1): lambda w: _contains_123(w[::-1]),
+    (1, 3, 2): _contains_132,
+    (2, 3, 1): lambda w: _contains_132(w[::-1]),
+    (3, 1, 2): lambda w: _contains_132([-v for v in w]),
+    (2, 1, 3): lambda w: _contains_132([-v for v in reversed(w)]),
+}
+
+
+def word_contains_pattern(word, pattern) -> bool:
+    """Classical containment for a word of distinct integers.
+
+    Every permutation pattern of length 1 to 3 has an O(len(word)) scan:
+    123 keeps a running minimum and second minimum, 132 a right-to-left
+    stack, and the other 3-patterns reverse and/or complement the word
+    onto one of those two.  The empty pattern and longer patterns go
+    through pruned backtracking over positions.  word may be any
+    iterable.
+    """
+    word = tuple(word)
+    pattern = tuple(pattern)
+    scan = _SCANS.get(pattern)
+    if scan is None:
+        return _backtrack_contains(word, pattern)
+    return scan(word)
 
 
 def contains_pattern(p: Permutation, pattern) -> bool:
@@ -390,5 +455,6 @@ def stats(p: Permutation) -> dict:
         and record["centrosymmetric"]
         and not contains_pattern(p, (1, 2, 3))
     ):
-        record["tiny_minima"] = list(minima_decomposition(p).tiny_values)
+        half = p.values[: len(p) // 2]
+        record["tiny_minima"] = [x for x, *_, tiny in _walk_blocks(half) if tiny]
     return record

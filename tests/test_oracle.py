@@ -1,8 +1,13 @@
+import ast
+import gc
 from itertools import permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import censym.oracle
+from censym.bijection import phi
 from censym.oracle import (
     CapExceeded,
     ClassSpec,
@@ -11,6 +16,7 @@ from censym.oracle import (
     enumerate_class,
     max_even_length,
 )
+from censym.paths import classify
 from censym.perms import avoids_pattern, is_centrosymmetric, word_contains_pattern
 
 from tests.paper import C6_132, C7_132
@@ -75,27 +81,53 @@ def test_known_histograms():
     assert descent_histogram(ClassSpec(0, centrosymmetric=True)) == {0: 1}
 
 
+def _phi_subclasses(p):
+    """The subclasses of p as the shape of its path image defines them."""
+    c = classify(phi(p))
+    return {
+        name
+        for name, match in (
+            ("k", c.is_dyck_path),
+            ("ck", c.is_dyck_path and c.is_elevated),
+            ("g", not c.is_dyck_path and c.split is None),
+            ("composite", c.split is not None),
+        )
+        if match
+    }
+
+
 def test_subclasses_partition_the_class():
-    for n in range(1, 5):
-        whole = _texts(ClassSpec(2 * n, centrosymmetric=True, avoid=(1, 2, 3)))
-        parts = []
-        for name in ("k", "g", "composite"):
-            parts.append(
-                _texts(
+    for n in range(7):
+        spec = ClassSpec(2 * n, centrosymmetric=True, avoid=(1, 2, 3))
+        whole = list(enumerate_class(spec))
+        parts = {
+            name: set(
+                enumerate_class(
                     ClassSpec(
-                        2 * n,
-                        centrosymmetric=True,
-                        avoid=(1, 2, 3),
-                        subclass=name,
+                        2 * n, centrosymmetric=True, avoid=(1, 2, 3), subclass=name
                     )
                 )
             )
-        assert set().union(*parts) == whole
-        assert sum(len(part) for part in parts) == len(whole)
-        ck = _texts(
-            ClassSpec(2 * n, centrosymmetric=True, avoid=(1, 2, 3), subclass="ck")
-        )
-        assert ck <= parts[0]
+            for name in ("k", "ck", "g", "composite")
+        }
+        assert sum(len(parts[name]) for name in ("k", "g", "composite")) == len(whole)
+        assert parts["k"] | parts["g"] | parts["composite"] == set(whole)
+        assert parts["ck"] <= parts["k"]
+        for p in whole:
+            assert {name for name in parts if p in parts[name]} == _phi_subclasses(p)
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # members must go as soon as the caller drops them, not at the next
+    # run of the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        for avoid in (None, (1, 2, 3)):
+            list(enumerate_class(ClassSpec(6, centrosymmetric=True, avoid=avoid)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_subclass_requires_even_centro_123():
@@ -162,3 +194,33 @@ def test_pruned_search_equals_filter(centro_members, pattern):
         want = [p for p in members if not word_contains_pattern(p.values, pattern)]
         spec = ClassSpec(length, centrosymmetric=True, avoid=pattern)
         assert list(enumerate_class(spec)) == want, (pattern, length)
+
+
+def _descent_row(m, pattern):
+    hist = descent_histogram(ClassSpec(m, centrosymmetric=True, avoid=pattern))
+    return [hist.get(d, 0) for d in range(m)]
+
+
+def test_reverse_and_complement_symmetries():
+    # reverse and complement map descents d to m-1-d and keep the class
+    # centrosymmetric; their composite fixes every centrosymmetric member
+    for m in range(1, 12):
+        row_123 = _descent_row(m, (1, 2, 3))
+        row_132 = _descent_row(m, (1, 3, 2))
+        assert _descent_row(m, (3, 2, 1)) == row_123[::-1], m
+        assert _descent_row(m, (2, 1, 3)) == row_132, m
+        assert _descent_row(m, (2, 3, 1)) == row_132[::-1], m
+        assert _descent_row(m, (3, 1, 2)) == row_132[::-1], m
+
+
+def test_oracle_imports_only_perms():
+    tree = ast.parse(Path(censym.oracle.__file__).read_text(encoding="utf-8"))
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            internal.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            assert node.module.split(".")[0] != "censym", node.module
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "censym" for a in node.names)
+    assert internal == {"perms"}

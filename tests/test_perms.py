@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from censym.perms import (
     InvalidPermutation,
     Permutation,
+    _backtrack_contains,
     avoids_pattern,
     complement,
     connected_components,
@@ -99,6 +100,19 @@ def test_lis_length():
 )
 def test_word_contains_pattern(word, pattern, expected):
     assert word_contains_pattern(word, pattern) is expected
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [p for k in (1, 2, 3) for p in itertools.permutations(range(1, k + 1))],
+    ids=lambda p: "".join(map(str, p)),
+)
+def test_scans_agree_with_backtracking(pattern):
+    for m in range(9):
+        for word in itertools.permutations(range(1, m + 1)):
+            want = _backtrack_contains(word, pattern)
+            assert word_contains_pattern(word, pattern) is want, word
+            assert word_contains_pattern(list(word), pattern) is want, word
 
 
 def _brute_contains(values, pattern):
@@ -232,3 +246,7 @@ def test_stats_record():
         "right_components": 3,
     }
     assert stats(Permutation((1, 2, 3)))["tiny_minima"] is None
+    for n in range(6):
+        for p in generate_c123_even(2 * n):
+            tiny = list(minima_decomposition(p).tiny_values)
+            assert stats(p)["tiny_minima"] == tiny
