@@ -32,7 +32,6 @@ from .perms import (
     contains_pattern,
     embed_in,
     is_centrosymmetric,
-    minima_decomposition,
     require_member,
     right_connected_components,
 )
@@ -140,10 +139,10 @@ def _predicted_heights(blocks, n):
 
 def predicted_heights(p: Permutation) -> tuple:
     """Closed-form block heights of phi(p); requires no tiny minimum."""
-    dec = minima_decomposition(p)
-    if any(dec.tiny_flags):
+    predicted = phi_trace(p).predicted_heights
+    if predicted is None:
         raise InvalidPermutation("height formulas require a member with no tiny minima")
-    return _predicted_heights(dec.blocks, len(p) // 2)
+    return predicted
 
 
 def _inv_half(steps: str):

@@ -136,31 +136,28 @@ def _backtrack_contains(word: tuple, pattern: tuple) -> bool:
     """Containment by pruned backtracking over positions.
 
     An occurrence is grown left to right, and every partial choice must
-    already be order-isomorphic to the corresponding pattern prefix.
+    already be order-isomorphic to the corresponding pattern prefix.  The
+    chosen positions are an explicit stack: i is the next position to try
+    for the pattern entry after them.
     """
     n, k = len(word), len(pattern)
-    if k == 0:
-        return True
-    if k > n:
-        return False
-
-    def extend(chosen, start):
+    chosen = []
+    i = 0
+    while len(chosen) < k:
         m = len(chosen)
-        if m == k:
-            return True
-        for i in range(start, n - (k - m) + 1):
+        if i <= n - (k - m):
             v = word[i]
             if all(
                 (v > word[c]) == (pattern[m] > pattern[j])
                 for j, c in enumerate(chosen)
             ):
                 chosen.append(i)
-                if extend(chosen, i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend([], 0)
+            i += 1
+        elif chosen:
+            i = chosen.pop() + 1
+        else:
+            return False
+    return True
 
 
 def _has_ascent(word) -> bool:

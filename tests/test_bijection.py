@@ -156,7 +156,7 @@ def test_predicted_heights_on_no_tiny_members(catalogue):
                 with pytest.raises(InvalidPermutation):
                     predicted_heights(p)
             else:
-                assert predicted_heights(p) == phi_trace(p).predicted_heights
+                assert predicted_heights(p) == phi_trace(p).block_heights()
 
 
 def test_composite_factorization(catalogue):

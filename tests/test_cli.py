@@ -1,10 +1,14 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from censym import cli
+from censym import bijection, cli, perms
 from censym.paths import LatticePath
 from censym.perms import VerificationError, parse_permutation
 from censym.verify import Check, SuiteReport
@@ -63,6 +67,61 @@ paper discrepancies (expected, not failures):
   g[0][0]: table 0 vs series 1 (printed S counts the empty path as an elevated proper prefix)
 suite series: ok
 all suites passed
+"""
+
+# the same command with perms.descent_count one too high on length 4 and
+# generate_c132 dropping its last member of length 4
+VERIFY_ALL_4_FAULTS = """\
+suite perm (max n = 4)
+PASS centrosymmetric count 2^n n! (5 checked)
+PASS 123-avoiding count C(2n, n) (5 checked)
+PASS 132-avoiding count 2^n (5 checked)
+PASS mirror-symmetric descent sets (502 checked)
+FAIL descents recoverable from the first half (443 checked): half-word descent count wrong for 1 2 3 4
+PASS minima decomposition well formed (99 checked)
+suite perm: FAILED
+suite path (max n = 4)
+PASS prefix count C(2n, n) (5 checked)
+PASS Dyck path count Catalan(n) (5 checked)
+PASS classification trichotomy and split (99 checked)
+PASS heights, final height, returns agree (99 checked)
+suite path: ok
+suite bijection (max n = 4)
+PASS round trip path -> member -> path (99 checked)
+PASS round trip member -> path -> member (99 checked)
+PASS structural generator matches inverse image (5 checked)
+PASS final height 2#tiny; Dyck iff no tiny minima (99 checked)
+PASS right components track path returns (99 checked)
+FAIL Dyck-class descents from valleys and triple falls (23 checked): descent formula fails for 3 4 1 2
+PASS per-block height formulas (no tiny minima) (23 checked)
+FAIL composite members factor at the last return (27 checked): composite descent offset fails for 4 2 3 1
+FAIL odd 123 class is the lifted image of S_n(123) (23 checked): odd descent transfer fails for 1 4 3 2
+FAIL 132 structural generator matches brute force (9 checked): 132 generator mismatch at length 4
+suite bijection: FAILED
+suite series (max n = 4)
+PASS t table matches the published rows (5 checked)
+PASS row sums and parity constraints (15 checked)
+PASS recurrence vs series vs brute force, all families (290 checked)
+PASS series arithmetic round trips (randomized) (75 checked)
+PASS generating function for Dyck path counts (4 checked)
+PASS named series identities (5 checked)
+paper discrepancies (expected, not failures):
+  q[0][0]: table 1 vs series 0 (printed Q omits the constant term for the empty permutation)
+  r[0][0]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[1][2]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[2][2]: table 2 vs series 1 (printed R is short one factor of (1+y^2))
+  r[2][4]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[3][2]: table 3 vs series 2 (printed R is short one factor of (1+y^2))
+  r[3][4]: table 3 vs series 1 (printed R is short one factor of (1+y^2))
+  r[3][6]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[4][2]: table 4 vs series 3 (printed R is short one factor of (1+y^2))
+  r[4][4]: table 6 vs series 3 (printed R is short one factor of (1+y^2))
+  r[4][6]: table 4 vs series 1 (printed R is short one factor of (1+y^2))
+  r[4][8]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  ck[0][0]: table 0 vs series 1 (printed CK counts the empty path as elevated)
+  g[0][0]: table 0 vs series 1 (printed S counts the empty path as an elevated proper prefix)
+suite series: ok
+verification FAILED
 """
 
 
@@ -359,6 +418,36 @@ def test_verify_rejects_negative(capsys):
 def test_verify_report_is_frozen(capsys):
     out = run(capsys, "verify", "--suite", "all", "--max-n", "4", "--seed", "0")
     assert out == (0, VERIFY_ALL_4, "")
+
+
+def test_verify_report_under_faults_is_frozen(monkeypatch, capsys):
+    real_descent_count = perms.descent_count
+    real_generate_c132 = bijection.generate_c132
+
+    def descent_count(p):
+        return real_descent_count(p) + (len(p) == 4)
+
+    def generate_c132(n):
+        members = list(real_generate_c132(n))
+        return iter(members[:-1] if n == 4 else members)
+
+    monkeypatch.setattr(perms, "descent_count", descent_count)
+    monkeypatch.setattr(bijection, "generate_c132", generate_c132)
+    out = run(capsys, "verify", "--suite", "all", "--max-n", "4", "--seed", "0")
+    assert out == (1, VERIFY_ALL_4_FAULTS, "")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "censym", "verify", "--suite", "path", "--max-n", "2"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("all suites passed\n")
 
 
 @pytest.mark.parametrize("value, code", [("-2", 3), ("abc", 3), ("", 0)])

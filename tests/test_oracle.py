@@ -123,8 +123,10 @@ def test_search_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        for avoid in (None, (1, 2, 3)):
-            list(enumerate_class(ClassSpec(6, centrosymmetric=True, avoid=avoid)))
+        # 1324 goes through the backtracking containment test
+        cases = (6, None), (6, (1, 2, 3)), (6, (1, 3, 2, 4)), (7, (1, 3, 2, 4))
+        for length, avoid in cases:
+            list(enumerate_class(ClassSpec(length, centrosymmetric=True, avoid=avoid)))
         assert gc.collect() == 0
     finally:
         gc.enable()

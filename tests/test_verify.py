@@ -1,19 +1,50 @@
 import ast
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import censym
-from censym.verify import CHECKS
+from censym import bijection, oracle
+from censym.oracle import ClassSpec
+from censym.verify import CHECKS, run_suite
 
 
-@pytest.mark.parametrize(
-    "check", [fn for _, _, fn in CHECKS], ids=[name for _, name, _ in CHECKS]
-)
-def test_catalogue_entry_passes(check):
-    failures, count = check(4, 8, 0, [])
-    assert failures == []
-    assert count > 0
+@pytest.mark.parametrize("entry", CHECKS, ids=[entry[1] for entry in CHECKS])
+def test_catalogue_entry_passes(entry, catalogue):
+    report = catalogue(4, entry[1])
+    assert report.ok
+    assert report.checks[0].count > 0
+
+
+def test_each_domain_length_is_enumerated_once(monkeypatch):
+    calls = Counter()
+    real_even, real_class = bijection.generate_c123_even, oracle.enumerate_class
+
+    def generate_c123_even(length):
+        calls["phi_inverse", length] += 1
+        return real_even(length)
+
+    def enumerate_class(spec):
+        # the three-route check enumerates its own classes through the
+        # oracle's descent_histogram; only verify's enumerations count here
+        if sys._getframe(1).f_globals["__name__"] == "censym.verify":
+            calls[spec] += 1
+        return real_class(spec)
+
+    monkeypatch.setattr(bijection, "generate_c123_even", generate_c123_even)
+    monkeypatch.setattr(oracle, "enumerate_class", enumerate_class)
+    run_suite("all", 4)
+    centro, c123, c132 = {"centrosymmetric": True}, (1, 2, 3), (1, 3, 2)
+    assert calls == Counter(
+        [("phi_inverse", 2 * n) for n in range(5)]
+        + [ClassSpec(m, **centro) for m in range(9)]
+        + [ClassSpec(2 * n, **centro, avoid=c123) for n in range(5)]
+        + [ClassSpec(2 * n + 1, **centro, avoid=c123) for n in range(5)]
+        + [ClassSpec(n, avoid=c123) for n in range(5)]
+        + [ClassSpec(m, **centro, avoid=c132) for m in range(9)]
+    )
 
 
 def test_library_has_no_assert():
