@@ -7,6 +7,7 @@ every class here and anchors the recurrences at n = 0.
 """
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from math import inf
 
@@ -327,41 +328,53 @@ def embed_in(word, alphabet) -> tuple:
     return tuple(alphabet[v - 1] for v in word)
 
 
-class _Alphabet:
-    """The live values of {1..size}, as a Fenwick tree of 0/1 counts.
+class _UpperValues:
+    """The live upper values of a complement-closed alphabet, descending.
 
-    rank, select and remove each take O(log size).
+    The alphabet starts as {1..2N}, and values leave it in complement
+    pairs {v, 2N+1-v}, so it is fixed by its live values above N.  They
+    are kept as S = moved followed by the untouched run hi, hi-1, .., lo,
+    where moved is a descending deque of values above hi.  pop and index
+    are O(1) at the deque's ends and inside the run; a value leaves the
+    run at most once, so a walk that only takes those positions is
+    linear in N.  Any other position goes through the deque's own index
+    and del.
     """
 
-    def __init__(self, size):
-        self._tree = [i & -i for i in range(size + 1)]  # all values live
-        self._top = 1 << size.bit_length() >> 1
+    def __init__(self, half):
+        self.moved = deque()
+        self.hi, self.lo = 2 * half, half + 1
 
-    def rank(self, v):
-        """Number of live values <= v."""
-        tree, r = self._tree, 0
-        while v:
-            r += tree[v]
-            v &= v - 1
-        return r
+    def index(self, u):
+        """Position of the live upper value u in S."""
+        moved = self.moved
+        if u <= self.hi:
+            return len(moved) + self.hi - u
+        if moved[0] == u:
+            return 0
+        if moved[-1] == u:
+            return len(moved) - 1
+        return moved.index(u)
 
-    def select(self, r):
-        """The r-th smallest live value, 1 <= r <= the number live."""
-        tree, pos, step = self._tree, 0, self._top
-        while step:
-            nxt = pos + step
-            if nxt < len(tree) and tree[nxt] < r:
-                pos = nxt
-                r -= tree[nxt]
-            step >>= 1
-        return pos + 1
-
-    def remove(self, v):
-        """Remove the live value v."""
-        tree = self._tree
-        while v < len(tree):
-            tree[v] -= 1
-            v += v & -v
+    def pop(self, i):
+        """Remove S[i] and return it."""
+        moved = self.moved
+        m = len(moved)
+        if i >= m:
+            v = self.hi - (i - m)
+            if v == self.lo:
+                self.lo += 1
+            else:  # the run above v moves onto the deque
+                moved.extend(range(self.hi, v, -1))
+                self.hi = v - 1
+            return v
+        if i == 0:
+            return moved.popleft()
+        if i == m - 1:
+            return moved.pop()
+        v = moved[i]
+        del moved[i]
+        return v
 
 
 def _walk_blocks(w):
@@ -370,27 +383,32 @@ def _walk_blocks(w):
     Yields (x, word, rank, n, tiny) for each block x word: rank is x's rank
     among the live values A_{i-1} (x renormalized onto the remainder's
     {1..2n}), n is the remainder's half length, so |A_{i-1}| = 2n, and
-    tiny says whether x is the lower median of A_{i-1}.  A word holding
-    a value twice, or a value and its complement, would remove a value
+    tiny says whether x is the lower median of A_{i-1}.  A value above N
+    (N = len(w)) ranks 2n - index(x) among the live values, and one at or
+    below N ranks index(2N+1-x) + 1, with index its position in the live
+    upper values.  On a member every value leaves from the position
+    phi_inverse takes it from, so the walk is linear.  A word holding a
+    value twice, or a value and its complement, would remove a value
     twice and raises VerificationError before the first block.
     """
-    full = 2 * len(w)
+    half = len(w)
+    full = 2 * half
     if len({*w, *(full + 1 - v for v in w)}) != full:
         raise VerificationError("a block removes a value twice")
-    alphabet = _Alphabet(full)
-    n = len(w)
+    upper = _UpperValues(half)
     i = 0
-    while i < len(w):
+    while i < half:
         x = w[i]
         j = i + 1
-        while j < len(w) and w[j] > x:
+        while j < half and w[j] > x:
             j += 1
-        rank = alphabet.rank(x)
+        n = half - i
+        pos = upper.index(x if x > half else full + 1 - x)
+        rank = 2 * n - pos if x > half else pos + 1
         yield x, w[i + 1 : j], rank, n, rank == n
-        for v in w[i:j]:
-            alphabet.remove(v)
-            alphabet.remove(full + 1 - v)
-        n -= j - i
+        upper.pop(pos)
+        for v in w[i + 1 : j]:
+            upper.pop(upper.index(v if v > half else full + 1 - v))
         i = j
 
 

@@ -1,10 +1,12 @@
 import random
+from collections import deque
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from censym import perms
 from censym.bijection import (
     _phi_blocks,
     components_vs_returns,
@@ -18,7 +20,7 @@ from censym.bijection import (
     phi_trace,
     predicted_heights,
 )
-from censym.paths import InvalidPath, LatticePath
+from censym.paths import InvalidPath, LatticePath, enumerate_prefixes
 from censym.perms import (
     InvalidPermutation,
     Permutation,
@@ -28,6 +30,7 @@ from censym.perms import (
     minima_decomposition,
     parse_permutation,
     right_connected_components,
+    stats,
 )
 
 from tests.paper import PHI_FIGURE, PHI_INVERSE_FIGURE
@@ -39,6 +42,14 @@ LENGTH_FOUR_MAP = {
     (3, 4, 1, 2): "UUDD",
     (4, 2, 3, 1): "UDUU",
     (4, 3, 2, 1): "UDUD",
+}
+
+# long prefixes: one tall run, unit blocks, one peak, a tall sawtooth
+LONG_PATHS = {
+    "U": "U" * 100000,
+    "UD": "UD" * 50000,
+    "peak": "U" * 50000 + "D" * 50000,
+    "sawtooth": ("U" * 300 + "D" * 299) * 160 + "U" * 160,
 }
 
 
@@ -83,6 +94,32 @@ def test_phi_blocks_guards():
         _phi_blocks((3, 4, 2, 8))
     with pytest.raises(VerificationError, match="a block removes a value twice"):
         _phi_blocks((1, 4))
+
+
+class _EndsOnlyDeque(deque):
+    """A deque whose O(n) index and del raise."""
+
+    def index(self, *args):
+        raise AssertionError("deque.index")
+
+    def __delitem__(self, i):
+        raise AssertionError("del on a deque")
+
+
+def test_members_take_only_the_linear_path(monkeypatch):
+    monkeypatch.setattr(perms, "deque", _EndsOnlyDeque)
+    upper = perms._UpperValues(5)  # S = 10 9 8 7 6
+    assert upper.pop(3) == 7  # moves 10 9 8 onto the deque
+    with pytest.raises(AssertionError):
+        upper.pop(1)
+    with pytest.raises(AssertionError):
+        upper.index(9)
+    short = [path.steps for m in range(0, 13, 2) for path in enumerate_prefixes(m)]
+    for steps in short + list(LONG_PATHS.values()):
+        path = LatticePath(steps)
+        p = phi_inverse(path)
+        assert phi(p) == path
+        assert 2 * len(stats(p)["tiny_minima"]) == path.final_height
 
 
 @st.composite

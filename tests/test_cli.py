@@ -14,6 +14,7 @@ from censym.perms import VerificationError, parse_permutation
 from censym.verify import Check, SuiteReport
 
 from tests.paper import PHI_FIGURE, PHI_INVERSE_FIGURE
+from tests.test_bijection import LONG_PATHS
 
 # stdout of `censym verify --suite all --max-n 4 --seed 0`
 VERIFY_ALL_4 = """\
@@ -159,7 +160,7 @@ def test_phi_inv_bad_path(capsys):
     assert "dips below the x-axis" in err
 
 
-@pytest.mark.parametrize("steps", ["U" * 100000, "UD" * 50000], ids=["U", "UD"])
+@pytest.mark.parametrize("steps", list(LONG_PATHS.values()), ids=list(LONG_PATHS))
 def test_phi_inv_long_paths(capsys, steps):
     code, member, _ = run(capsys, "phi-inv", steps)
     assert code == 0

@@ -8,6 +8,7 @@ from censym.perms import (
     InvalidPermutation,
     Permutation,
     _backtrack_contains,
+    _walk_blocks,
     avoids_pattern,
     complement,
     connected_components,
@@ -222,6 +223,17 @@ def test_tiny_flags_are_lower_medians():
             dec = minima_decomposition(p)
             medians = map(lower_median, paper_alphabets(p))
             assert dec.tiny_flags == tuple(x == m for x, m in zip(dec.minima, medians))
+
+
+def test_walk_ranks_match_the_alphabets():
+    # rank is x's rank in A_{i-1} and n is half its size, by the definition
+    for n in range(7):
+        for p in generate_c123_even(2 * n):
+            walk = list(_walk_blocks(p.values[:n]))
+            alphabets = paper_alphabets(p)
+            assert len(walk) == len(alphabets) - 1
+            for (x, _, rank, half, _), alphabet in zip(walk, alphabets):
+                assert (rank, half) == (alphabet.index(x) + 1, len(alphabet) // 2)
 
 
 def test_minima_decomposition_tiny_flags_monotone(catalogue):

@@ -1,10 +1,14 @@
+import ast
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import censym.series
+import censym.tables
 from censym.series import BivariateSeries, NAMED_SERIES, build_named_series
 from censym.tables import (
     build_table,
@@ -283,3 +287,34 @@ def test_table_csv_layout():
     assert lines[0] == "n\\d,0,1,2,3"
     assert lines[1] == "0,1,0,0,0"
     assert lines[3] == "2,0,2,3,1"
+
+
+def test_recurrences_never_read_a_closed_form():
+    # tables takes the y-polynomial kernel and build_named_series from
+    # series, and only series_table touches build_named_series
+    kernel = {"_trim", "_padd", "_pneg", "_pdot", "_pmul", "_pscale", "_pshift", "_pdiv_y"}
+    assert kernel <= set(vars(censym.series))
+    tree = ast.parse(Path(censym.tables.__file__).read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if node.module in ("series", "censym.series"):
+                assert all(a.asname is None for a in node.names)
+                taken |= names
+            elif node.module in (None, "censym"):
+                assert "series" not in names
+        elif isinstance(node, ast.Import):
+            assert all(not a.name.startswith("censym.series") for a in node.names)
+    assert taken <= kernel | {"build_named_series"}
+
+    def uses(node):
+        return sum(
+            isinstance(n, ast.Name) and n.id == "build_named_series"
+            for n in ast.walk(node)
+        )
+
+    (series_table,) = (
+        f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "series_table"
+    )
+    assert uses(series_table) and uses(tree) == uses(series_table)
