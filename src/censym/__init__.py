@@ -51,7 +51,6 @@ from .tables import (
     DescentTable,
     FAMILIES,
     build_table,
-    cross_check,
     oracle_table,
     series_table,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "classify",
     "components_vs_returns",
     "contains_pattern",
-    "cross_check",
     "descent_count",
     "descent_histogram",
     "descent_set",

@@ -160,15 +160,17 @@ def classify(path: LatticePath) -> PathClassification:
 MAX_ENUMERATION_LENGTH = 32
 
 
-def enumerate_prefixes(length: int, max_length: int = MAX_ENUMERATION_LENGTH):
+def enumerate_prefixes(length: int):
     """All Dyck prefixes of the given even length, lexicographic with U < D.
 
     There are binomial(2n, n) prefixes of length 2n.
     """
     if length % 2:
         raise InvalidPath("length must be even")
-    if not 0 <= length <= max_length:
-        raise InvalidPath(f"length {length} exceeds enumeration cap {max_length}")
+    if not 0 <= length <= MAX_ENUMERATION_LENGTH:
+        raise InvalidPath(
+            f"length {length} exceeds enumeration cap {MAX_ENUMERATION_LENGTH}"
+        )
 
     buf = []
 

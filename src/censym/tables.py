@@ -1,4 +1,4 @@
-"""Descent tables per family, computed three ways and cross-checked.
+"""Descent tables per family, computed three ways.
 
 Families index descent histograms by (n, d):
 
@@ -12,14 +12,15 @@ Families index descent histograms by (n, d):
 
 The recurrence tables are the normative output; their rows are
 y-polynomials on the series module's kernel, and they never read a closed
-form (only series_table does).  The closed-form series are verification
-inputs: where a printed closed form is known to disagree with the
-combinatorially verified table (Q's constant term, R's missing (1+y^2)
-factor, the empty-path cells of CK and S), the mismatch is reported as a
-paper discrepancy rather than a failure.
+form (only series_table does).  The closed-form series and the oracle
+are verification inputs, compared cell by cell with these tables by the
+three-route check of ``censym verify``: where a printed closed form is
+known to disagree with the combinatorially verified table (Q's constant
+term, R's missing (1+y^2) factor, the empty-path cells of CK and S), the
+mismatch is a paper discrepancy rather than a failure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from . import oracle
@@ -198,84 +199,6 @@ def known_series_discrepancy(family: str, n: int, d: int) -> str | None:
     if family == "g" and (n, d) == (0, 0):
         return "printed S counts the empty path as an elevated proper prefix"
     return None
-
-
-@dataclass
-class CrossCheckReport:
-    """Outcome of the three-way table comparison.
-
-    failures are artifact errors; discrepancies are known printed-form
-    deviations, reported but not fatal.
-    """
-
-    max_n: int
-    oracle_max_n: int
-    cells_checked: int = 0
-    failures: list = field(default_factory=list)
-    discrepancies: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def render(self) -> str:
-        lines = [
-            f"cross-check through n = {self.max_n} "
-            f"(oracle leg through n = {self.oracle_max_n}): "
-            f"{self.cells_checked} cells compared"
-        ]
-        for f in self.failures:
-            lines.append(f"FAIL {f}")
-        if self.discrepancies:
-            lines.append("paper discrepancies (expected, tables are normative):")
-            for d in self.discrepancies:
-                lines.append(f"  {d}")
-        lines.append("result: " + ("OK" if self.ok else "FAILED"))
-        return "\n".join(lines)
-
-
-def cross_check(
-    max_n: int, families=FAMILIES, oracle_max_n: int | None = None
-) -> CrossCheckReport:
-    """Compare recurrence tables, closed-form series, and the oracle.
-
-    Table vs oracle mismatches are failures.  Series vs table mismatches
-    are failures unless they sit on a known printed-form discrepancy.
-    """
-    if oracle_max_n is None:
-        oracle_max_n = min(max_n, oracle.max_even_length() // 2, 7)
-    report = CrossCheckReport(max_n=max_n, oracle_max_n=oracle_max_n)
-    for family in families:
-        table = build_table(family, max_n)
-        ser = series_table(family, max_n)
-        orc = oracle_table(family, oracle_max_n)
-        for n in range(max_n + 1):
-            width = max(
-                len(table.rows[n]),
-                len(ser.rows[n]),
-                len(orc.rows[n]) if n <= oracle_max_n else 0,
-            )
-            for d in range(width):
-                want = table.cell(n, d)
-                if n <= oracle_max_n:
-                    report.cells_checked += 1
-                    got = orc.cell(n, d)
-                    if got != want:
-                        report.failures.append(
-                            f"{family}[{n}][{d}]: table {want} vs oracle {got}"
-                        )
-                report.cells_checked += 1
-                got = ser.cell(n, d)
-                if got != want:
-                    reason = known_series_discrepancy(family, n, d)
-                    message = (
-                        f"{family}[{n}][{d}]: table {want} vs series {got}"
-                    )
-                    if reason is None:
-                        report.failures.append(message)
-                    else:
-                        report.discrepancies.append(f"{message} ({reason})")
-    return report
 
 
 def table_to_csv(table: DescentTable) -> str:

@@ -366,12 +366,37 @@ def _row_sums(max_n, cap, seed, notes):
 
 
 def _three_routes(max_n, cap, seed, notes):
-    checked = tables.cross_check(max_n, oracle_max_n=min(max_n, cap // 2))
-    notes.extend(checked.discrepancies)
-    # cross_check counts cells and its failures are among them, so they
-    # must not count again
-    yield from map(Whole, checked.failures)
-    yield from [""] * checked.cells_checked
+    # every table cell against the oracle (through n = cap // 2) and the
+    # series; a series mismatch on a known discrepancy is a note
+    oracle_max_n = min(max_n, cap // 2)
+    for family in tables.FAMILIES:
+        table = tables.build_table(family, max_n)
+        ser = tables.series_table(family, max_n)
+        orc = tables.oracle_table(family, oracle_max_n)
+        for n in range(max_n + 1):
+            width = max(
+                len(table.rows[n]),
+                len(ser.rows[n]),
+                len(orc.rows[n]) if n <= oracle_max_n else 0,
+            )
+            for d in range(width):
+                want = table.cell(n, d)
+                if n <= oracle_max_n:
+                    got = orc.cell(n, d)
+                    yield "" if got == want else (
+                        f"{family}[{n}][{d}]: table {want} vs oracle {got}"
+                    )
+                got = ser.cell(n, d)
+                if got == want:
+                    yield ""
+                    continue
+                message = f"{family}[{n}][{d}]: table {want} vs series {got}"
+                reason = tables.known_series_discrepancy(family, n, d)
+                if reason is None:
+                    yield message
+                else:
+                    notes.append(f"{message} ({reason})")
+                    yield ""
 
 
 def _random_integral_series(rng, order):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from censym import bijection, cli, perms
+from censym import bijection, cli, oracle, perms, tables
 from censym.paths import LatticePath
 from censym.perms import VerificationError, parse_permutation
 from censym.verify import Check, SuiteReport
@@ -122,6 +122,36 @@ paper discrepancies (expected, not failures):
   ck[0][0]: table 0 vs series 1 (printed CK counts the empty path as elevated)
   g[0][0]: table 0 vs series 1 (printed S counts the empty path as an elevated proper prefix)
 suite series: ok
+verification FAILED
+"""
+
+# stdout of `censym verify --suite series --max-n 4 --seed 0` with
+# tables.series_table giving k row 2 an extra cell 7 at d = 4 and
+# oracle.descent_histogram counting one more g member of length 6 at d = 3
+VERIFY_SERIES_4_ROUTE_FAULTS = """\
+suite series (max n = 4)
+PASS t table matches the published rows (5 checked)
+PASS row sums and parity constraints (15 checked)
+FAIL recurrence vs series vs brute force, all families (292 checked): k[2][4]: table 0 vs series 7
+PASS series arithmetic round trips (randomized) (75 checked)
+PASS generating function for Dyck path counts (4 checked)
+PASS named series identities (5 checked)
+paper discrepancies (expected, not failures):
+  q[0][0]: table 1 vs series 0 (printed Q omits the constant term for the empty permutation)
+  r[0][0]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[1][2]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[2][2]: table 2 vs series 1 (printed R is short one factor of (1+y^2))
+  r[2][4]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[3][2]: table 3 vs series 2 (printed R is short one factor of (1+y^2))
+  r[3][4]: table 3 vs series 1 (printed R is short one factor of (1+y^2))
+  r[3][6]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  r[4][2]: table 4 vs series 3 (printed R is short one factor of (1+y^2))
+  r[4][4]: table 6 vs series 3 (printed R is short one factor of (1+y^2))
+  r[4][6]: table 4 vs series 1 (printed R is short one factor of (1+y^2))
+  r[4][8]: table 1 vs series 0 (printed R is short one factor of (1+y^2))
+  ck[0][0]: table 0 vs series 1 (printed CK counts the empty path as elevated)
+  g[0][0]: table 0 vs series 1 (printed S counts the empty path as an elevated proper prefix)
+suite series: FAILED
 verification FAILED
 """
 
@@ -436,6 +466,38 @@ def test_verify_report_under_faults_is_frozen(monkeypatch, capsys):
     monkeypatch.setattr(bijection, "generate_c132", generate_c132)
     out = run(capsys, "verify", "--suite", "all", "--max-n", "4", "--seed", "0")
     assert out == (1, VERIFY_ALL_4_FAULTS, "")
+
+
+def test_verify_series_report_under_route_faults_is_frozen(monkeypatch, capsys):
+    real_series_table = tables.series_table
+    real_histogram = oracle.descent_histogram
+
+    def series_table(family, max_n):
+        table = real_series_table(family, max_n)
+        if family != "k":
+            return table
+        rows = list(table.rows)
+        rows[2] += (7,)
+        return tables.DescentTable(family, tuple(rows))
+
+    def descent_histogram(spec):
+        hist = real_histogram(spec)
+        if spec.subclass == "g" and spec.length == 6:
+            hist[3] = hist.get(3, 0) + 1
+        return hist
+
+    monkeypatch.setattr(oracle, "descent_histogram", descent_histogram)
+    argv = ("verify", "--suite", "series", "--max-n", "4", "--seed", "0")
+    # the oracle fault alone fails one cell and adds no count
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert (
+        "FAIL recurrence vs series vs brute force, all families (290 checked): "
+        "g[3][3]: table 4 vs oracle 5\n"
+    ) in out
+    monkeypatch.setattr(tables, "series_table", series_table)
+    out = run(capsys, *argv)
+    assert out == (1, VERIFY_SERIES_4_ROUTE_FAULTS, "")
 
 
 def test_python_dash_m_runs_the_cli():
