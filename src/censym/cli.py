@@ -3,11 +3,14 @@
 Exit status: 0 success, 1 verification failure, 2 usage error,
 3 invalid input data, 4 internal error (an unexpected exception, such as
 a failed consistency check inside the library; its traceback goes to
-stderr).
+stderr).  A reader that closes stdout early, as ``| head`` does, is not an
+error: the command stops writing and exits 0 without a word on stderr,
+except that ``verify`` still exits 1 when a check failed.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijection, oracle, tables, verify
@@ -22,6 +25,14 @@ def _parse_pattern(text: str):
     if sorted(values) != list(range(1, len(values) + 1)):
         raise ValueError(f"not a pattern: {text!r}")
     return values
+
+
+def _stdout_closed() -> None:
+    """Send the rest of stdout to os.devnull once its reader has gone, so
+    that no later write or the final flush at exit fails again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _input_text(text: str) -> str:
@@ -105,7 +116,7 @@ def _cmd_series(args) -> int:
     payload = {
         "name": args.name,
         "order": args.order,
-        "coeffs": [[str(c) for c in row] for row in series.integer_rows()],
+        "coeffs": [[str(c) for c in row] for row in series.coeffs],
     }
     print(json.dumps(payload))
     return 0
@@ -113,10 +124,14 @@ def _cmd_series(args) -> int:
 
 def _cmd_verify(args) -> int:
     reports = verify.run_suite(args.suite, args.max_n, seed=args.seed)
-    for report in reports:
-        print(report.render())
     ok = all(r.ok for r in reports)
-    print("all suites passed" if ok else "verification FAILED")
+    try:
+        for report in reports:
+            print(report.render())
+        print("all suites passed" if ok else "verification FAILED")
+        sys.stdout.flush()
+    except BrokenPipeError:  # a failed check fails the run, read or not
+        _stdout_closed()
     return 0 if ok else 1
 
 
@@ -182,7 +197,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here at the latest
+        return code
+    except BrokenPipeError:  # the reader stopped reading: not an error
+        _stdout_closed()
+        return 0
     except (InvalidPermutation, InvalidPath, CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -6,7 +6,6 @@ invariant under a half-turn.  The empty permutation is a valid member of
 every class here and anchors the recurrences at n = 0.
 """
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from math import inf
@@ -119,18 +118,6 @@ def descent_set(p: Permutation) -> tuple:
 def descent_count(p: Permutation) -> int:
     v = p.values
     return sum(v[i - 1] > v[i] for i in range(1, len(v)))
-
-
-def lis_length(seq) -> int:
-    """Length of a longest increasing subsequence (patience sorting)."""
-    tails = []
-    for v in seq:
-        i = bisect_left(tails, v)
-        if i == len(tails):
-            tails.append(v)
-        else:
-            tails[i] = v
-    return len(tails)
 
 
 def _backtrack_contains(word: tuple, pattern: tuple) -> bool:

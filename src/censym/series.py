@@ -1,31 +1,31 @@
 """Exact truncated bivariate power series; no floating point anywhere.
 
 A series is truncated in x at a fixed order; each x^n coefficient is a
-dense polynomial in y with exact coefficients: ints, and Fractions only
-where an input or an inexact division brings them in.  Division and square
-root work by coefficient recurrences and need the constant term to be a
-nonzero scalar (respectively exactly 1), which every formula used here
-satisfies after factoring out the appropriate monomial.
+dense polynomial in y with int coefficients.  Scalars that enter from
+outside (terms, scale factors, operands) must be ints, and division and
+square root must come out exact: anything else raises.  Division and
+square root work by coefficient recurrences and need the constant term to
+be a nonzero scalar (respectively exactly 1), which every formula used
+here satisfies after factoring out the appropriate monomial.
 
 The private y-polynomial kernel (`_padd`, `_pmul`, `_pshift`, ...) is the
 package's only polynomial arithmetic; `tables` runs its recurrences on it.
 """
 
-from fractions import Fraction
 
-
-def _exact(c):
-    """c as an exact coefficient: ints stay ints, anything else a Fraction."""
-    return c if isinstance(c, int) else Fraction(c)
+def _int(c):
+    """c itself, which must be an int: the kernel has no other coefficient."""
+    if not isinstance(c, int):
+        raise TypeError(f"coefficient {c!r} is not an int")
+    return c
 
 
 def _div(c, d):
-    """c / d exactly: the int quotient when both are ints and d divides c."""
-    if isinstance(c, int) and isinstance(d, int):
-        q, r = divmod(c, d)
-        if not r:
-            return q
-    return Fraction(c) / d
+    """c / d as an int; raises unless d divides c."""
+    q, r = divmod(c, d)
+    if r:
+        raise ValueError(f"coefficient {c} is not divisible by {d}")
+    return q
 
 
 def _trim(poly):
@@ -83,7 +83,7 @@ def _pdiv_y(a, k):
 
 
 class BivariateSeries:
-    """A power series in x, truncated at x^order, over exact polynomials in y."""
+    """A power series in x, truncated at x^order, over int polynomials in y."""
 
     __slots__ = ("order", "coeffs")
 
@@ -101,7 +101,7 @@ class BivariateSeries:
         rows = [{} for _ in range(order + 1)]
         for i, j, c in terms:
             if i <= order:
-                rows[i][j] = rows[i].get(j, 0) + _exact(c)
+                rows[i][j] = rows[i].get(j, 0) + _int(c)
         coeffs = []
         for row in rows:
             width = max(row) + 1 if row else 0
@@ -116,7 +116,7 @@ class BivariateSeries:
     def one(cls, order: int):
         return cls.constant(order, 1)
 
-    def coefficient(self, i: int, j: int) -> "int | Fraction":
+    def coefficient(self, i: int, j: int) -> int:
         if i > self.order:
             raise IndexError(f"x^{i} is beyond truncation order {self.order}")
         row = self.coeffs[i]
@@ -179,12 +179,12 @@ class BivariateSeries:
     __rmul__ = __mul__
 
     def scale(self, s) -> "BivariateSeries":
-        s = _exact(s)
+        s = _int(s)
         return BivariateSeries(self.order, (_pscale(c, s) for c in self.coeffs))
 
     def mul_term(self, i: int, j: int, c=1) -> "BivariateSeries":
         """Multiply by c x^i y^j, keeping the truncation order."""
-        c = _exact(c)
+        c = _int(c)
         out = [()] * (self.order + 1)
         for a, row in enumerate(self.coeffs):
             if a + i <= self.order and row:
@@ -240,21 +240,6 @@ class BivariateSeries:
                 spread[2 * j] = c
             out.append(tuple(spread))
         return BivariateSeries(self.order, out)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for row in self.coeffs for c in row)
-
-    def integer_rows(self) -> tuple:
-        """Coefficient rows as plain ints; fails on fractional entries."""
-        rows = []
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c.denominator != 1:
-                    raise ValueError(
-                        f"coefficient of x^{i} y^{j} is not an integer: {c}"
-                    )
-            rows.append(tuple(int(c) for c in row))
-        return tuple(rows)
 
 
 NAMED_SERIES = ("Q", "R", "E", "V", "K", "CK", "S", "T")
@@ -359,16 +344,15 @@ _BUILDERS = {
 def build_named_series(name: str, order: int) -> BivariateSeries:
     """One of the closed-form descent series, expanded exactly.
 
-    Every coefficient must come out a nonnegative-size integer polynomial
-    in y of degree at most 2n+1 in row n; violations raise.
+    Every division on the way must be exact (the kernel raises at the
+    first one that is not), and row n must have y-degree at most 2n+1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if name not in _BUILDERS:
         raise ValueError(f"unknown series {name!r} (choose from {NAMED_SERIES})")
     s = _BUILDERS[name](order)
-    rows = s.integer_rows()  # raises on fractional coefficients
-    for n, row in enumerate(rows):
+    for n, row in enumerate(s.coeffs):
         if len(row) - 1 > 2 * n + 1:
             raise ValueError(
                 f"{name}: x^{n} row has y-degree {len(row) - 1}, beyond 2n+1"

@@ -184,7 +184,7 @@ def oracle_table(family: str, max_n: int) -> DescentTable:
 def series_table(family: str, max_n: int) -> DescentTable:
     """Closed-form table: coefficient rows of the family's named series."""
     _check_request(family, max_n)
-    rows = build_named_series(FAMILY_SERIES[family], max_n).integer_rows()
+    rows = build_named_series(FAMILY_SERIES[family], max_n).coeffs
     return DescentTable(family, tuple(_trim_row(r) for r in rows))
 
 

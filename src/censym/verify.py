@@ -19,7 +19,6 @@ yield verdicts too.
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, factorial
 
 from . import bijection, oracle, paths, perms, tables
@@ -404,7 +403,7 @@ def _random_integral_series(rng, order):
     for i in range(order + 1):
         for j in range(2 * i + 2):
             if rng.random() < 0.4:
-                terms.append((i, j, Fraction(rng.randint(-4, 4))))
+                terms.append((i, j, rng.randint(-4, 4)))
     return BivariateSeries.one(order) + BivariateSeries.from_terms(
         order, [(i, j, c) for i, j, c in terms if i > 0]
     )
@@ -426,7 +425,7 @@ def _series_arithmetic(max_n, cap, seed, notes):
 
 def _catalan_series(max_n, cap, seed, notes):
     disc = BivariateSeries.from_terms(max(max_n, 2), [(0, 0, 1), (1, 0, -4)])
-    catalan = (1 - disc.sqrt()).div_x(1).scale(Fraction(1, 2))
+    catalan = (1 - disc.sqrt()).div_x(1) / 2
     for m, prefixes in _prefixes(min(catalan.order, 10), cap):
         n = m // 2
         coeff = catalan.coefficient(n, 0)

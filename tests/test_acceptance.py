@@ -124,7 +124,7 @@ def test_criterion_6_odd_123_case(catalogue):
         ok = ok and odd == want
     e = build_named_series("E", 8)
     for n in range(9):
-        row = e.integer_rows()[n]
+        row = e.coeffs[n]
         hist = {k: c for k, c in enumerate(row) if c}
         ok = ok and hist == eulerian[n]
     ok = ok and catalogue(8, "named series identities").ok

@@ -26,7 +26,6 @@ from censym.perms import (
     Permutation,
     VerificationError,
     is_centrosymmetric,
-    lis_length,
     minima_decomposition,
     parse_permutation,
     right_connected_components,
@@ -34,6 +33,7 @@ from censym.perms import (
 )
 
 from tests.paper import PHI_FIGURE, PHI_INVERSE_FIGURE
+from tests.reference import lis_length
 
 LENGTH_FOUR_MAP = {
     (2, 1, 4, 3): "UUUU",

@@ -513,6 +513,49 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.endswith("all suites passed\n")
 
 
+def run_piped(script, read_lines):
+    """Run a CLI script in a fresh interpreter whose stdout reader takes
+    read_lines lines and then closes the pipe (at once for 0, before the
+    script writes anything): (exit code, lines read, stderr)."""
+    src = Path(cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    reader = open(read_end, encoding="utf-8")
+    if not read_lines:
+        reader.close()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    os.close(write_end)
+    lines = [reader.readline() for _ in range(read_lines)]
+    reader.close()
+    err = proc.stderr.read()
+    return proc.wait(timeout=60), lines, err
+
+
+def test_closed_stdout_is_not_an_error():
+    # C_16(123) has 12870 members, far more output than a pipe buffer holds
+    script = (
+        "import sys; from censym.cli import main; "
+        "sys.exit(main(['enumerate', '--len', '16', '--centro', '--avoid', '123']))"
+    )
+    assert run_piped(script, 1) == (0, ["8 7 6 5 4 3 2 1 16 15 14 13 12 11 10 9\n"], "")
+
+
+@pytest.mark.parametrize("ok, code", [(True, 0), (False, 1)])
+def test_verify_with_closed_stdout_keeps_its_verdict(ok, code):
+    script = (
+        "import sys; from censym import cli, verify\n"
+        f"report = verify.SuiteReport('path', 2, [verify.Check('c', {ok}, 1, 'boom')])\n"
+        "verify.run_suite = lambda *a, **k: [report]\n"
+        "sys.exit(cli.main(['verify']))"
+    )
+    assert run_piped(script, 0) == (code, [], "")
+
+
 @pytest.mark.parametrize("value, code", [("-2", 3), ("abc", 3), ("", 0)])
 def test_oracle_cap_variable(monkeypatch, capsys, value, code):
     monkeypatch.setenv("CENSYM_MAX_ORACLE_N", value)

@@ -17,7 +17,6 @@ from censym.perms import (
     descent_set,
     is_centrosymmetric,
     left_half_word,
-    lis_length,
     ltr_minima,
     minima_decomposition,
     parse_permutation,
@@ -31,6 +30,7 @@ from censym.perms import (
 
 from censym.bijection import generate_c123_even
 from tests.paper import PHI_FIGURE
+from tests.reference import lis_length
 
 perms_upto = lambda m: st.integers(1, m).flatmap(
     lambda k: st.permutations(range(1, k + 1))

@@ -51,9 +51,7 @@ def series_of(rows):
 
 
 small_polys = st.builds(
-    lambda rows: BivariateSeries(
-        6, [tuple(Fraction(c) for c in row) for row in rows]
-    ),
+    lambda rows: BivariateSeries(6, rows),
     st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=7),
 )
 
@@ -137,7 +135,7 @@ def test_truncate():
 
 def test_catalan_generating_function():
     disc = BivariateSeries.from_terms(11, [(0, 0, 1), (1, 0, -4)])
-    catalan = (1 - disc.sqrt()).div_x(1).scale(Fraction(1, 2))
+    catalan = (1 - disc.sqrt()).div_x(1) / 2
     assert [catalan.coefficient(n, 0) for n in range(11)] == [
         1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796
     ]
@@ -149,25 +147,51 @@ def test_named_series_coefficients_are_ints(name):
     assert all(type(c) is int for row in series.coeffs for c in row)
 
 
-def test_inexact_division_gives_a_fraction():
-    half = BivariateSeries.one(2) / BivariateSeries.constant(2, 2)
-    assert half.coefficient(0, 0) == Fraction(1, 2)
-    assert type(half.coefficient(0, 0)) is Fraction
-
-
-def test_integer_rows_rejects_fractions():
-    s = BivariateSeries(1, [(Fraction(1, 2),), ()])
-    with pytest.raises(ValueError):
-        s.integer_rows()
-    assert not s.is_integral()
-
-
 @pytest.mark.parametrize("name", NAMED_SERIES)
 def test_named_series_are_integral(name):
-    series = build_named_series(name, 8)
-    assert series.is_integral()
-    for i in range(9):
-        assert series.y_degree(i) <= 2 * i + 1
+    # the kernel raises at the first inexact division, so each build below
+    # divided exactly at every step; a lower order is a truncation
+    full = build_named_series(name, 30)
+    for order in (0, 1, 2, 5):
+        assert build_named_series(name, order) == full.truncate(order)
+    for i in range(31):
+        assert full.y_degree(i) <= 2 * i + 1
+
+
+def test_inexact_division_raises():
+    one = BivariateSeries.one(2)
+    with pytest.raises(ValueError, match="coefficient 1 is not divisible by 2"):
+        one / BivariateSeries.constant(2, 2)
+    with pytest.raises(ValueError, match="not divisible by 2"):
+        one / 2
+    # sqrt(1 + x) = 1 + x/2 - ...: the first halving is inexact
+    with pytest.raises(ValueError, match="coefficient 1 is not divisible by 2"):
+        BivariateSeries.from_terms(2, [(0, 0, 1), (1, 0, 1)]).sqrt()
+
+
+def test_non_int_scalars_are_refused():
+    s = BivariateSeries.one(2)
+    for scalar in (Fraction(1, 2), Fraction(2), 0.5, 2.0):
+        with pytest.raises(TypeError, match="is not an int"):
+            BivariateSeries.from_terms(2, [(0, 0, scalar)])
+        with pytest.raises(TypeError, match="is not an int"):
+            s.scale(scalar)
+        with pytest.raises(TypeError, match="is not an int"):
+            s.mul_term(1, 0, scalar)
+        with pytest.raises(TypeError, match="is not an int"):
+            s + scalar
+
+
+def test_no_module_imports_fractions():
+    # every coefficient is an int, so the package has no use for Fraction
+    package = Path(censym.series.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "fractions", path.name
+            elif isinstance(node, ast.Import):
+                assert all(a.name != "fractions" for a in node.names), path.name
 
 
 def test_named_series_validation():
@@ -184,12 +208,12 @@ def test_v_series_is_one_plus_y_times_k_minus_one():
 
 
 def test_series_T_matches_frozen_rows():
-    rows = build_named_series("T", 5).integer_rows()
+    rows = build_named_series("T", 5).coeffs
     assert tuple(tuple(r) for r in rows) == T_ROWS_FROZEN
 
 
 def test_series_E_matches_frozen_rows():
-    rows = build_named_series("E", 8).integer_rows()
+    rows = build_named_series("E", 8).coeffs
     assert [list(r) for r in rows] == E_ROWS
 
 
