@@ -46,14 +46,8 @@ from .perms import (
     parse_permutation,
     right_connected_components,
 )
-from .series import BivariateSeries, NAMED_SERIES, build_named_series
-from .tables import (
-    DescentTable,
-    FAMILIES,
-    build_table,
-    oracle_table,
-    series_table,
-)
+from .series import BivariateSeries, NAMED_SERIES, NamedSeries
+from .tables import DescentTable, FAMILIES, descent_tables
 from .verify import run_suite
 
 __version__ = "0.1.0"
@@ -69,18 +63,18 @@ __all__ = [
     "LatticePath",
     "MinimaDecomposition",
     "NAMED_SERIES",
+    "NamedSeries",
     "Permutation",
     "PhiTrace",
     "VerificationError",
     "avoids_pattern",
-    "build_named_series",
-    "build_table",
     "classify",
     "components_vs_returns",
     "contains_pattern",
     "descent_count",
     "descent_histogram",
     "descent_set",
+    "descent_tables",
     "enumerate_class",
     "enumerate_prefixes",
     "even_to_odd_132",
@@ -93,7 +87,6 @@ __all__ = [
     "minima_decomposition",
     "odd_embed",
     "odd_project",
-    "oracle_table",
     "parse_permutation",
     "path_stats",
     "phi",
@@ -102,6 +95,5 @@ __all__ = [
     "predicted_heights",
     "right_connected_components",
     "run_suite",
-    "series_table",
     "__version__",
 ]

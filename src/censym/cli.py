@@ -17,7 +17,7 @@ from . import bijection, oracle, tables, verify
 from .oracle import CapExceeded
 from .paths import InvalidPath, LatticePath
 from .perms import InvalidPermutation, parse_permutation, stats
-from .series import NAMED_SERIES, build_named_series
+from .series import NAMED_SERIES, NamedSeries
 
 
 def _parse_pattern(text: str):
@@ -84,16 +84,8 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _build_table(args) -> tables.DescentTable:
-    if args.source == "recurrence":
-        return tables.build_table(args.family, args.max_n)
-    if args.source == "series":
-        return tables.series_table(args.family, args.max_n)
-    return tables.oracle_table(args.family, args.max_n)
-
-
 def _cmd_table(args) -> int:
-    table = _build_table(args)
+    table = tables.descent_tables(args.source, (args.family,), args.max_n)[args.family]
     if args.format == "csv":
         sys.stdout.write(tables.table_to_csv(table))
     else:
@@ -112,7 +104,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    series = build_named_series(args.name, args.order)
+    series = NamedSeries(args.order)[args.name]
     payload = {
         "name": args.name,
         "order": args.order,

@@ -12,10 +12,12 @@ The private y-polynomial kernel (`_padd`, `_pmul`, `_pshift`, ...) is the
 package's only polynomial arithmetic; `tables` runs its recurrences on it.
 """
 
+from itertools import chain, islice
+
 
 def _int(c):
-    """c itself, which must be an int: the kernel has no other coefficient."""
-    if not isinstance(c, int):
+    """c itself, exactly an int (no bool): the kernel has no other coefficient."""
+    if type(c) is not int:
         raise TypeError(f"coefficient {c!r} is not an int")
     return c
 
@@ -90,7 +92,10 @@ class BivariateSeries:
     def __init__(self, order: int, coeffs):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = list(coeffs)[: order + 1]
+        coeffs = [tuple(c) for c in islice(coeffs, order + 1)]
+        if not set(map(type, chain.from_iterable(coeffs))) <= {int}:
+            for c in chain.from_iterable(coeffs):
+                _int(c)  # raises at the first coefficient that is not an int
         coeffs += [()] * (order + 1 - len(coeffs))
         self.order = order
         self.coeffs = tuple(_trim(c) for c in coeffs)
@@ -242,25 +247,23 @@ class BivariateSeries:
         return BivariateSeries(self.order, out)
 
 
-NAMED_SERIES = ("Q", "R", "E", "V", "K", "CK", "S", "T")
-
 _EVEN_SQRT_ARG = [(0, 0, 1), (1, 2, -4), (2, 2, -4), (2, 4, 4)]
 _ODD_SQRT_ARG = [(0, 0, 1), (1, 1, -4), (2, 1, -4), (2, 2, 4)]
 
 
-def _series_Q(order):
+def _series_Q(order, named):
     num = BivariateSeries.from_terms(order, [(1, 0, 1), (1, 1, 1)])
     den = BivariateSeries.from_terms(order, [(0, 0, 1), (1, 0, -1), (1, 2, -1)])
     return num / den
 
 
-def _series_R(order):
+def _series_R(order, named):
     num = BivariateSeries.from_terms(order, [(1, 0, 1)])
     den = BivariateSeries.from_terms(order, [(0, 0, 1), (1, 0, -1), (1, 2, -1)])
     return num / den
 
 
-def _series_E(order):
+def _series_E(order, named):
     work = order + 1
     root = BivariateSeries.from_terms(work, _ODD_SQRT_ARG).sqrt()
     num = root + BivariateSeries.from_terms(
@@ -272,7 +275,7 @@ def _series_E(order):
     return num / den
 
 
-def _series_V(order):
+def _series_V(order, named):
     work = order + 1
     root = BivariateSeries.from_terms(work, _EVEN_SQRT_ARG).sqrt()
     num = (root - 1).div_x(1).div_y(2)
@@ -280,7 +283,7 @@ def _series_V(order):
     return num / den
 
 
-def _series_K(order):
+def _series_K(order, named):
     work = order + 1
     root = BivariateSeries.from_terms(work, _EVEN_SQRT_ARG).sqrt()
     num = BivariateSeries.from_terms(
@@ -291,8 +294,8 @@ def _series_K(order):
     return BivariateSeries.one(order) + num / den
 
 
-def _series_CK(order):
-    k = _series_K(order)
+def _series_CK(order, named):
+    k = named["K"]
     xy = BivariateSeries.from_terms(order, [(1, 1, 1)])
     t1 = (k - 1 - xy).mul_term(1, 2)
     t2 = (k - 1).mul_term(2, 2) - (k - 1).mul_term(2, 4)
@@ -300,8 +303,8 @@ def _series_CK(order):
     return t1 + t2 + t3
 
 
-def _series_T(order):
-    k = _series_K(order)
+def _series_T(order, named):
+    k = named["K"]
     num = (
         -(k * k).mul_term(1, 3)
         + k
@@ -318,9 +321,8 @@ def _series_T(order):
     return num / den
 
 
-def _series_S(order):
-    t = _series_T(order)
-    k = _series_K(order)
+def _series_S(order, named):
+    t, k = named["T"], named["K"]
     return (
         BivariateSeries.from_terms(order, [(0, 0, 1), (1, 0, 1)])
         + (t - 1).mul_term(1, 1)
@@ -329,6 +331,7 @@ def _series_S(order):
     )
 
 
+# a builder takes the order and the NamedSeries that looks up its inputs
 _BUILDERS = {
     "Q": _series_Q,
     "R": _series_R,
@@ -339,22 +342,29 @@ _BUILDERS = {
     "S": _series_S,
     "T": _series_T,
 }
+NAMED_SERIES = tuple(_BUILDERS)
 
 
-def build_named_series(name: str, order: int) -> BivariateSeries:
-    """One of the closed-form descent series, expanded exactly.
+class NamedSeries(dict):
+    """The closed-form series at one order by name, each expanded exactly
+    on first lookup and kept, so the K and T that CK, T and S are written in
+    are built once.  Every division on the way must be exact, and row n
+    must have y-degree at most 2n+1."""
 
-    Every division on the way must be exact (the kernel raises at the
-    first one that is not), and row n must have y-degree at most 2n+1.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown series {name!r} (choose from {NAMED_SERIES})")
-    s = _BUILDERS[name](order)
-    for n, row in enumerate(s.coeffs):
-        if len(row) - 1 > 2 * n + 1:
-            raise ValueError(
-                f"{name}: x^{n} row has y-degree {len(row) - 1}, beyond 2n+1"
-            )
-    return s
+    def __init__(self, order: int):
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, name: str) -> BivariateSeries:
+        if name not in _BUILDERS:
+            raise ValueError(f"unknown series {name!r} (choose from {NAMED_SERIES})")
+        s = _BUILDERS[name](self.order, self)
+        for n, row in enumerate(s.coeffs):
+            if len(row) - 1 > 2 * n + 1:
+                raise ValueError(
+                    f"{name}: x^{n} row has y-degree {len(row) - 1}, beyond 2n+1"
+                )
+        self[name] = s
+        return s

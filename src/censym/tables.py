@@ -10,32 +10,37 @@ Families index descent histograms by (n, d):
   ck  members of k whose path image is elevated
   g   members of t whose path image is an elevated proper prefix
 
-The recurrence tables are the normative output; their rows are
-y-polynomials on the series module's kernel, and they never read a closed
-form (only series_table does).  The closed-form series and the oracle
-are verification inputs, compared cell by cell with these tables by the
-three-route check of ``censym verify``: where a printed closed form is
-known to disagree with the combinatorially verified table (Q's constant
-term, R's missing (1+y^2) factor, the empty-path cells of CK and S), the
-mismatch is a paper discrepancy rather than a failure.
+``descent_tables`` builds the requested families' tables by one route,
+and what they share once per call.  The recurrence tables are the
+normative output; their rows are y-polynomials on the series module's
+kernel, and they never read a closed form (only _series_rows does).  The
+closed-form series and the oracle are verification inputs, compared cell
+by cell with these tables by the three-route check of ``censym verify``:
+where a printed closed form is known to disagree with the combinatorially
+verified table (Q's constant term, R's missing (1+y^2) factor, the
+empty-path cells of CK and S), the mismatch is a paper discrepancy rather
+than a failure.
 """
 
 from dataclasses import dataclass
 from math import comb
 
 from . import oracle
-from .series import _padd, _pdot, _pmul, _pneg, _pshift, _trim, build_named_series
+from .perms import descent_count
+from .series import NamedSeries, _padd, _pdot, _pmul, _pneg, _pshift, _trim
 
-FAMILIES = ("q", "r", "v", "k", "ck", "g", "t")
-FAMILY_SERIES = {
-    "q": "Q",
-    "r": "R",
-    "v": "V",
-    "k": "K",
-    "ck": "CK",
-    "g": "S",
-    "t": "T",
+# family: (its named series, length offset, pattern); its members of size
+# n are in C_2n+offset(pattern), and k, ck and g are subclasses of C_2n(123)
+_FAMILY_ROUTES = {
+    "q": ("Q", 0, (1, 3, 2)),
+    "r": ("R", 1, (1, 3, 2)),
+    "v": ("V", 1, (1, 2, 3)),
+    "k": ("K", 0, (1, 2, 3)),
+    "ck": ("CK", 0, (1, 2, 3)),
+    "g": ("S", 0, (1, 2, 3)),
+    "t": ("T", 0, (1, 2, 3)),
 }
+FAMILIES = tuple(_FAMILY_ROUTES)
 
 
 @dataclass(frozen=True)
@@ -57,13 +62,6 @@ class DescentTable:
 
     def width(self) -> int:
         return max((len(row) for row in self.rows), default=0)
-
-
-def _check_request(family, max_n):
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r} (choose from {FAMILIES})")
 
 
 def _trim_row(row):
@@ -135,57 +133,70 @@ def _tables_g_t(k, max_n):
     return g, t
 
 
-def build_table(family: str, max_n: int) -> DescentTable:
-    """The recurrence/formula table for a family, rows n = 0..max_n."""
-    _check_request(family, max_n)
-    if family == "q":
-        rows = _table_q(max_n)
-    elif family == "r":
-        rows = _table_r(max_n)
-    else:
-        k, ck = _tables_k_ck(max_n)
-        if family == "v":
-            rows = _table_v(k)
-        elif family in ("g", "t"):
-            rows = _tables_g_t(k, max_n)[family == "t"]
-        else:
-            rows = k if family == "k" else ck
-    return DescentTable(family, tuple(_trim_row(r) for r in rows[: max_n + 1]))
+def _recurrence_rows(families, max_n):
+    """Rows by formula and recurrence; k and ck are built once for v, k, ck, g, t."""
+    rows = {}
+    if "q" in families:
+        rows["q"] = _table_q(max_n)
+    if "r" in families:
+        rows["r"] = _table_r(max_n)
+    if not {"v", "k", "ck", "g", "t"}.isdisjoint(families):
+        rows["k"], rows["ck"] = _tables_k_ck(max_n)
+        if "v" in families:
+            rows["v"] = _table_v(rows["k"])
+        if not {"g", "t"}.isdisjoint(families):
+            rows["g"], rows["t"] = _tables_g_t(rows["k"], max_n)
+    return rows
 
 
-def _class_spec(family: str, n: int) -> oracle.ClassSpec:
-    if family == "q":
-        return oracle.ClassSpec(2 * n, centrosymmetric=True, avoid=(1, 3, 2))
-    if family == "r":
-        return oracle.ClassSpec(2 * n + 1, centrosymmetric=True, avoid=(1, 3, 2))
-    if family == "v":
-        return oracle.ClassSpec(2 * n + 1, centrosymmetric=True, avoid=(1, 2, 3))
-    if family == "t":
-        return oracle.ClassSpec(2 * n, centrosymmetric=True, avoid=(1, 2, 3))
-    if family in ("k", "ck", "g"):
-        return oracle.ClassSpec(
-            2 * n, centrosymmetric=True, avoid=(1, 2, 3), subclass=family
-        )
-    raise ValueError(f"unknown family {family!r}")
+def _series_rows(families, max_n):
+    named = NamedSeries(max_n)
+    return {f: named[_FAMILY_ROUTES[f][0]].coeffs for f in families}
 
 
-def oracle_table(family: str, max_n: int) -> DescentTable:
-    """Brute-force descent table, rows n = 0..max_n."""
-    _check_request(family, max_n)
-    oracle._check_cap(_class_spec(family, max_n))
-    rows = []
+def _oracle_rows(families, max_n):
+    """Histograms of the requested families: each class is enumerated once
+    per n, and a member counts for every requested family it is in."""
+    by_class = {}
+    for f in families:
+        by_class.setdefault(_FAMILY_ROUTES[f][1:], []).append(f)
+
+    def spec(n, offset, pattern):
+        return oracle.ClassSpec(2 * n + offset, centrosymmetric=True, avoid=pattern)
+
+    for key in by_class:
+        oracle._check_cap(spec(max_n, *key))
+    rows = {f: [] for f in families}
     for n in range(max_n + 1):
-        hist = oracle.descent_histogram(_class_spec(family, n))
-        width = max(hist) + 1 if hist else 1
-        rows.append(_trim_row(hist.get(d, 0) for d in range(width)))
-    return DescentTable(family, tuple(rows))
+        for key, members_of in by_class.items():
+            for f in members_of:
+                rows[f].append([0] * (2 * n + 2))  # room for 2n + 1 descents
+            for p in oracle.enumerate_class(spec(n, *key)):
+                for f in members_of:
+                    if f not in oracle.SUBCLASSES or oracle._subclass_match(p, f):
+                        rows[f][n][descent_count(p)] += 1
+    return rows
 
 
-def series_table(family: str, max_n: int) -> DescentTable:
-    """Closed-form table: coefficient rows of the family's named series."""
-    _check_request(family, max_n)
-    rows = build_named_series(FAMILY_SERIES[family], max_n).coeffs
-    return DescentTable(family, tuple(_trim_row(r) for r in rows))
+def descent_tables(source: str, families, max_n: int) -> dict:
+    """{family: DescentTable} with rows n = 0..max_n for each requested
+    family, by source 'recurrence', 'series' or 'oracle'."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    families = dict.fromkeys(families)  # in order, each once
+    for family in families:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r} (choose from {FAMILIES})")
+    routes = {
+        "recurrence": _recurrence_rows, "series": _series_rows, "oracle": _oracle_rows
+    }
+    if source not in routes:
+        raise ValueError(f"unknown source {source!r} (choose from {tuple(routes)})")
+    rows = routes[source](families, max_n)
+    return {
+        f: DescentTable(f, tuple(_trim_row(r) for r in rows[f][: max_n + 1]))
+        for f in families
+    }
 
 
 def known_series_discrepancy(family: str, n: int, d: int) -> str | None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 from . import bijection, oracle, paths, perms, tables
-from .series import BivariateSeries, build_named_series
+from .series import BivariateSeries, NamedSeries
 
 SUITES = ("perm", "path", "bijection", "series", "all")
 
@@ -341,24 +341,22 @@ def _generator_132(m, members):
 
 
 def _t_rows(max_n, cap, seed, notes):
-    t_table = tables.build_table("t", max_n)
+    t_table = tables.descent_tables("recurrence", ("t",), max_n)["t"]
     for n in range(min(max_n, len(T_ROWS_FROZEN) - 1) + 1):
         ok = tuple(t_table.rows[n]) == tables._trim_row(T_ROWS_FROZEN[n])
         yield "" if ok else f"t row {n} = {t_table.rows[n]}"
 
 
 def _row_sums(max_n, cap, seed, notes):
-    t_table = tables.build_table("t", max_n)
-    q_table = tables.build_table("q", max_n)
-    v_table = tables.build_table("v", max_n)
+    rec = tables.descent_tables("recurrence", ("t", "q", "v"), max_n)
     for n in range(max_n + 1):
-        row_sum = sum(t_table.rows[n])
+        row_sum = sum(rec["t"].rows[n])
         yield "" if row_sum == comb(2 * n, n) else f"t row {n} sums to {row_sum}"
-        row_sum = sum(q_table.rows[n])
+        row_sum = sum(rec["q"].rows[n])
         yield "" if row_sum == 2**n else f"q row {n} sums to {row_sum}"
         bad = [
             d
-            for d, c in enumerate(v_table.rows[n])
+            for d, c in enumerate(rec["v"].rows[n])
             if c and (d % 2 or (d == 0 and n >= 1))
         ]
         yield f"v row {n} nonzero at d = {bad[0]}" if bad else ""
@@ -368,10 +366,10 @@ def _three_routes(max_n, cap, seed, notes):
     # every table cell against the oracle (through n = cap // 2) and the
     # series; a series mismatch on a known discrepancy is a note
     oracle_max_n = min(max_n, cap // 2)
+    sizes = (("recurrence", max_n), ("series", max_n), ("oracle", oracle_max_n))
+    routes = [tables.descent_tables(s, tables.FAMILIES, m) for s, m in sizes]
     for family in tables.FAMILIES:
-        table = tables.build_table(family, max_n)
-        ser = tables.series_table(family, max_n)
-        orc = tables.oracle_table(family, oracle_max_n)
+        table, ser, orc = (route[family] for route in routes)
         for n in range(max_n + 1):
             width = max(
                 len(table.rows[n]),
@@ -436,14 +434,11 @@ def _catalan_series(max_n, cap, seed, notes):
 
 def _series_identities(max_n, cap, seed, notes):
     order = max(max_n, 2)
-    v = build_named_series("V", order)
-    e_sub = build_named_series("E", order).substitute_y_squared()
+    named = NamedSeries(order)
+    v, k, ck, s, t = (named[name] for name in ("V", "K", "CK", "S", "T"))
+    e_sub = named["E"].substitute_y_squared()
     identity = 1 + (e_sub - 1).mul_term(0, 2, 1)
     yield "" if v == identity else "V != 1 + y^2 (E(x, y^2) - 1)"
-    k = build_named_series("K", order)
-    ck = build_named_series("CK", order)
-    s = build_named_series("S", order)
-    t = build_named_series("T", order)
     ok = k == ck + ((ck - 1) * (k - 1)).mul_term(0, 1, 1)
     yield "" if ok else "K != CK + y (CK - 1)(K - 1)"
     zero = BivariateSeries.from_terms(order, [])

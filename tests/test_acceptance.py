@@ -13,13 +13,8 @@ from censym.bijection import generate_c123_even, phi, phi_inverse
 from censym.oracle import ClassSpec, descent_histogram, enumerate_class
 from censym.paths import LatticePath
 from censym.perms import parse_permutation
-from censym.series import BivariateSeries, build_named_series
-from censym.tables import (
-    build_table,
-    known_series_discrepancy,
-    oracle_table,
-    series_table,
-)
+from censym.series import BivariateSeries, NamedSeries
+from censym.tables import descent_tables, known_series_discrepancy
 from censym.verify import T_ROWS_FROZEN
 
 from tests.paper import C6_132, C7_132, PHI_FIGURE, PHI_INVERSE_FIGURE
@@ -59,9 +54,9 @@ def test_criterion_3_figure_fidelity():
 
 def test_criterion_4_t_table_three_ways():
     start = time.monotonic()
-    rec = build_table("t", 8)
-    ser = series_table("t", 8)
-    orc = oracle_table("t", 7)
+    rec = descent_tables("recurrence", ("t",), 8)["t"]
+    ser = descent_tables("series", ("t",), 8)["t"]
+    orc = descent_tables("oracle", ("t",), 7)["t"]
     ok = rec.rows[:6] == T_ROWS_FROZEN
     ok = ok and ser.rows == rec.rows
     ok = ok and orc.rows == rec.rows[:8]
@@ -71,12 +66,14 @@ def test_criterion_4_t_table_three_ways():
 
 
 def test_criterion_5_132_results():
-    q, r = build_table("q", 7), build_table("r", 7)
+    q, r = descent_tables("recurrence", ("q", "r"), 7).values()
+    orc = descent_tables("oracle", ("q", "r"), 7)
+    series = descent_tables("series", ("q", "r"), 7)
     ok = True
     for family, table in (("q", q), ("r", r)):
         # equal oracle rows make these rows the brute-force histograms
-        ok = ok and oracle_table(family, 7).rows == table.rows
-        ser = series_table(family, 7)
+        ok = ok and orc[family].rows == table.rows
+        ser = series[family]
         for n, row in enumerate(table.rows):
             for d in range(max(len(row), len(ser.rows[n]))):
                 if ser.cell(n, d) != table.cell(n, d):
@@ -122,7 +119,7 @@ def test_criterion_6_odd_123_case(catalogue):
             continue
         want = {2 * k + 2: c for k, c in hist.items()}
         ok = ok and odd == want
-    e = build_named_series("E", 8)
+    e = NamedSeries(8)["E"]
     for n in range(9):
         row = e.coeffs[n]
         hist = {k: c for k, c in enumerate(row) if c}

@@ -125,9 +125,9 @@ suite series: ok
 verification FAILED
 """
 
-# stdout of `censym verify --suite series --max-n 4 --seed 0` with
-# tables.series_table giving k row 2 an extra cell 7 at d = 4 and
-# oracle.descent_histogram counting one more g member of length 6 at d = 3
+# stdout of `censym verify --suite series --max-n 4 --seed 0` with the
+# series route giving k row 2 an extra cell 7 at d = 4 and the oracle
+# taking one more member of length 6 with 3 descents for g
 VERIFY_SERIES_4_ROUTE_FAULTS = """\
 suite series (max n = 4)
 PASS t table matches the published rows (5 checked)
@@ -375,6 +375,16 @@ def test_oracle_table_checks_size_first(monkeypatch, capsys, max_n, message):
     assert message in err
 
 
+def test_t_oracle_table_never_classifies(monkeypatch, capsys):
+    # t is all of C_2n(123), so the k/ck/g classification has no part in it
+    classified = []
+    monkeypatch.setattr(oracle, "_subclass_match", lambda *a: classified.append(a))
+    argv = ("table", "--family", "t", "--max-n", "4", "--source", "oracle")
+    code, out, _ = run(capsys, *argv)
+    assert (code, classified) == (0, [])
+    assert out.splitlines()[-1] == "4,0,0,0,6,20,28,15,1"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -469,24 +479,21 @@ def test_verify_report_under_faults_is_frozen(monkeypatch, capsys):
 
 
 def test_verify_series_report_under_route_faults_is_frozen(monkeypatch, capsys):
-    real_series_table = tables.series_table
-    real_histogram = oracle.descent_histogram
+    real_series_rows = tables._series_rows
+    real_match = oracle._subclass_match
+    k_6 = oracle.ClassSpec(6, centrosymmetric=True, avoid=(1, 2, 3), subclass="k")
+    extra = next(p for p in oracle.enumerate_class(k_6) if perms.descent_count(p) == 3)
 
-    def series_table(family, max_n):
-        table = real_series_table(family, max_n)
-        if family != "k":
-            return table
-        rows = list(table.rows)
-        rows[2] += (7,)
-        return tables.DescentTable(family, tuple(rows))
+    def series_rows(families, max_n):
+        rows = real_series_rows(families, max_n)
+        rows["k"] = list(rows["k"])
+        rows["k"][2] += (7,)
+        return rows
 
-    def descent_histogram(spec):
-        hist = real_histogram(spec)
-        if spec.subclass == "g" and spec.length == 6:
-            hist[3] = hist.get(3, 0) + 1
-        return hist
+    def subclass_match(p, name):
+        return real_match(p, name) or (name == "g" and p == extra)
 
-    monkeypatch.setattr(oracle, "descent_histogram", descent_histogram)
+    monkeypatch.setattr(oracle, "_subclass_match", subclass_match)
     argv = ("verify", "--suite", "series", "--max-n", "4", "--seed", "0")
     # the oracle fault alone fails one cell and adds no count
     code, out, _ = run(capsys, *argv)
@@ -495,7 +502,7 @@ def test_verify_series_report_under_route_faults_is_frozen(monkeypatch, capsys):
         "FAIL recurrence vs series vs brute force, all families (290 checked): "
         "g[3][3]: table 4 vs oracle 5\n"
     ) in out
-    monkeypatch.setattr(tables, "series_table", series_table)
+    monkeypatch.setattr(tables, "_series_rows", series_rows)
     out = run(capsys, *argv)
     assert out == (1, VERIFY_SERIES_4_ROUTE_FAULTS, "")
 
@@ -522,18 +529,18 @@ def run_piped(script, read_lines):
     reader = open(read_end, encoding="utf-8")
     if not read_lines:
         reader.close()
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=write_end,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    os.close(write_end)
-    lines = [reader.readline() for _ in range(read_lines)]
-    reader.close()
-    err = proc.stderr.read()
-    return proc.wait(timeout=60), lines, err
+    ) as proc:
+        os.close(write_end)
+        lines = [reader.readline() for _ in range(read_lines)]
+        reader.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=60), lines, err
 
 
 def test_closed_stdout_is_not_an_error():

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 import censym.series
 import censym.tables
-from censym.series import BivariateSeries, NAMED_SERIES, build_named_series
+from censym.series import BivariateSeries, NAMED_SERIES, NamedSeries
 from censym.tables import (
-    build_table,
+    FAMILIES,
+    descent_tables,
     known_series_discrepancy,
-    oracle_table,
-    series_table,
     table_to_csv,
 )
 from censym.verify import T_ROWS_FROZEN
@@ -41,6 +40,10 @@ E_ROWS = [
     [0, 0, 0, 56, 252, 120, 1],
     [0, 0, 0, 14, 364, 804, 247, 1],
 ]
+
+
+def table(source, family, max_n):
+    return descent_tables(source, (family,), max_n)[family]
 
 
 def series_of(rows):
@@ -143,7 +146,7 @@ def test_catalan_generating_function():
 
 @pytest.mark.parametrize("name", NAMED_SERIES)
 def test_named_series_coefficients_are_ints(name):
-    series = build_named_series(name, 12)
+    series = NamedSeries(12)[name]
     assert all(type(c) is int for row in series.coeffs for c in row)
 
 
@@ -151,9 +154,9 @@ def test_named_series_coefficients_are_ints(name):
 def test_named_series_are_integral(name):
     # the kernel raises at the first inexact division, so each build below
     # divided exactly at every step; a lower order is a truncation
-    full = build_named_series(name, 30)
+    full = NamedSeries(30)[name]
     for order in (0, 1, 2, 5):
-        assert build_named_series(name, order) == full.truncate(order)
+        assert NamedSeries(order)[name] == full.truncate(order)
     for i in range(31):
         assert full.y_degree(i) <= 2 * i + 1
 
@@ -182,6 +185,15 @@ def test_non_int_scalars_are_refused():
             s + scalar
 
 
+def test_non_int_coefficients_are_refused():
+    # rows are checked as given, not only scalars; a bool is not a count
+    for rows in ([(0.5,), (1.5,)], [(True, 2)], [(1, Fraction(1, 2))], [(1, 0.0)]):
+        with pytest.raises(TypeError, match="is not an int"):
+            BivariateSeries(1, rows)
+    with pytest.raises(TypeError, match="True is not an int"):
+        BivariateSeries.from_terms(1, [(0, 0, True)])
+
+
 def test_no_module_imports_fractions():
     # every coefficient is an int, so the package has no use for Fraction
     package = Path(censym.series.__file__).parent
@@ -196,46 +208,46 @@ def test_no_module_imports_fractions():
 
 def test_named_series_validation():
     with pytest.raises(ValueError):
-        build_named_series("Z", 4)
+        NamedSeries(4)["Z"]
     with pytest.raises(ValueError, match="order must be nonnegative"):
-        build_named_series("T", -1)
+        NamedSeries(-1)
 
 
 def test_v_series_is_one_plus_y_times_k_minus_one():
-    v = build_named_series("V", 40)
-    k = build_named_series("K", 40)
+    named = NamedSeries(40)
+    v, k = named["V"], named["K"]
     assert v == 1 + (k - 1).mul_term(0, 1)
 
 
 def test_series_T_matches_frozen_rows():
-    rows = build_named_series("T", 5).coeffs
+    rows = NamedSeries(5)["T"].coeffs
     assert tuple(tuple(r) for r in rows) == T_ROWS_FROZEN
 
 
 def test_series_E_matches_frozen_rows():
-    rows = build_named_series("E", 8).coeffs
+    rows = NamedSeries(8)["E"].coeffs
     assert [list(r) for r in rows] == E_ROWS
 
 
 def test_recurrence_tables_match_frozen_rows():
-    assert build_table("t", 5).rows == T_ROWS_FROZEN
-    assert [list(r) for r in build_table("k", 5).rows] == K_ROWS
-    assert [list(r) for r in build_table("ck", 4).rows] == CK_ROWS
-    assert [list(r) for r in build_table("g", 4).rows] == G_ROWS
+    assert table("recurrence", "t", 5).rows == T_ROWS_FROZEN
+    assert [list(r) for r in table("recurrence", "k", 5).rows] == K_ROWS
+    assert [list(r) for r in table("recurrence", "ck", 4).rows] == CK_ROWS
+    assert [list(r) for r in table("recurrence", "g", 4).rows] == G_ROWS
 
 
 def test_binomial_tables():
-    q = build_table("q", 4)
+    q = table("recurrence", "q", 4)
     assert q.cell(3, 2) == comb(2, 1)
     assert sum(q.rows[4]) == 2**4
-    r = build_table("r", 4)
+    r = table("recurrence", "r", 4)
     assert r.cell(3, 4) == comb(3, 2)
     assert r.cell(3, 3) == 0
     assert sum(r.rows[4]) == 2**4
 
 
 def test_v_table_shifts_eulerian_rows():
-    v = build_table("v", 6)
+    v = table("recurrence", "v", 6)
     for n in range(1, 7):
         for k, c in enumerate(E_ROWS[n]):
             assert v.cell(n, 2 * k + 2) == c
@@ -244,14 +256,14 @@ def test_v_table_shifts_eulerian_rows():
 
 
 def test_oracle_table_small():
-    assert oracle_table("t", 3).rows == T_ROWS_FROZEN[:4]
-    assert [list(r) for r in oracle_table("g", 3).rows] == G_ROWS[:4]
+    assert table("oracle", "t", 3).rows == T_ROWS_FROZEN[:4]
+    assert [list(r) for r in table("oracle", "g", 3).rows] == G_ROWS[:4]
 
 
 def test_series_tables_match_recurrences_where_defined():
     for family in ("v", "k", "t"):
-        ser = series_table(family, 40)
-        rec = build_table(family, 40)
+        ser = table("series", family, 40)
+        rec = table("recurrence", family, 40)
         assert ser.rows == rec.rows
 
 
@@ -272,15 +284,28 @@ ROW_SUMS = {
 
 @pytest.mark.parametrize("family", sorted(ROW_SUMS))
 def test_table_row_sums_match_paper_counts(family):
-    rows = build_table(family, 60).rows
+    rows = table("recurrence", family, 60).rows
     assert [sum(row) for row in rows] == [ROW_SUMS[family](n) for n in range(61)]
 
 
 def test_series_table_validation():
     with pytest.raises(ValueError, match="unknown family 'x'"):
-        series_table("x", 3)
+        table("series", "x", 3)
     with pytest.raises(ValueError, match="max_n must be nonnegative"):
-        series_table("t", -1)
+        table("series", "t", -1)
+    with pytest.raises(ValueError, match="unknown source 'guess'"):
+        table("guess", "t", 3)
+
+
+@pytest.mark.parametrize(
+    "source, max_n", [("recurrence", 40), ("series", 40), ("oracle", 6)]
+)
+def test_a_family_asked_alone_matches_all_families(source, max_n):
+    together = descent_tables(source, FAMILIES, max_n)
+    assert list(together) == list(FAMILIES)
+    for family in FAMILIES:
+        assert descent_tables(source, (family,), max_n) == {family: together[family]}
+    assert descent_tables(source, ("t", "t"), max_n) == {"t": together["t"]}
 
 
 def test_known_discrepancy_cells():
@@ -290,14 +315,14 @@ def test_known_discrepancy_cells():
     assert known_series_discrepancy("g", 0, 0)
     assert known_series_discrepancy("q", 1, 0) is None
     assert known_series_discrepancy("t", 0, 0) is None
-    s = series_table("q", 3)
-    rec = build_table("q", 3)
+    s = table("series", "q", 3)
+    rec = table("recurrence", "q", 3)
     assert s.cell(0, 0) == 0 and rec.cell(0, 0) == 1
     assert s.rows[1:] == rec.rows[1:]
 
 
 def test_table_csv_layout():
-    csv = table_to_csv(build_table("t", 2))
+    csv = table_to_csv(table("recurrence", "t", 2))
     lines = csv.strip().split("\n")
     assert lines[0] == "n\\d,0,1,2,3"
     assert lines[1] == "0,1,0,0,0"
@@ -305,8 +330,8 @@ def test_table_csv_layout():
 
 
 def test_recurrences_never_read_a_closed_form():
-    # tables takes the y-polynomial kernel and build_named_series from
-    # series, and only series_table touches build_named_series
+    # tables takes the y-polynomial kernel and NamedSeries from series,
+    # and only _series_rows touches NamedSeries
     kernel = {"_trim", "_padd", "_pneg", "_pdot", "_pmul", "_pscale", "_pshift", "_pdiv_y"}
     assert kernel <= set(vars(censym.series))
     tree = ast.parse(Path(censym.tables.__file__).read_text(encoding="utf-8"))
@@ -321,15 +346,15 @@ def test_recurrences_never_read_a_closed_form():
                 assert "series" not in names
         elif isinstance(node, ast.Import):
             assert all(not a.name.startswith("censym.series") for a in node.names)
-    assert taken <= kernel | {"build_named_series"}
+    assert taken <= kernel | {"NamedSeries"}
 
     def uses(node):
         return sum(
-            isinstance(n, ast.Name) and n.id == "build_named_series"
+            isinstance(n, ast.Name) and n.id == "NamedSeries"
             for n in ast.walk(node)
         )
 
-    (series_table,) = (
-        f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "series_table"
+    (series_rows,) = (
+        f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_series_rows"
     )
-    assert uses(series_table) and uses(tree) == uses(series_table)
+    assert uses(series_rows) and uses(tree) == uses(series_rows)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import censym
-from censym import bijection, oracle
+from censym import bijection, oracle, series, tables, verify
 from censym.oracle import ClassSpec
 from censym.verify import CHECKS, run_suite
 
@@ -27,8 +27,8 @@ def test_each_domain_length_is_enumerated_once(monkeypatch):
         return real_even(length)
 
     def enumerate_class(spec):
-        # the three-route check enumerates its own classes through the
-        # oracle's descent_histogram; only verify's enumerations count here
+        # the three-route check enumerates its own classes through
+        # tables.descent_tables; only verify's enumerations count here
         if sys._getframe(1).f_globals["__name__"] == "censym.verify":
             calls[spec] += 1
         return real_class(spec)
@@ -44,6 +44,32 @@ def test_each_domain_length_is_enumerated_once(monkeypatch):
         + [ClassSpec(2 * n + 1, **centro, avoid=c123) for n in range(5)]
         + [ClassSpec(n, avoid=c123) for n in range(5)]
         + [ClassSpec(m, **centro, avoid=c132) for m in range(9)]
+    )
+
+
+def test_three_routes_build_what_families_share_once(monkeypatch):
+    calls = Counter()
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key(*args)] += 1
+            return fn(*args)
+
+        return wrapper
+
+    k_ck = counted(tables._tables_k_ck, lambda max_n: "k, ck")
+    monkeypatch.setattr(tables, "_tables_k_ck", k_ck)
+    for name in ("K", "T"):
+        builder = counted(series._BUILDERS[name], lambda order, named, name=name: name)
+        monkeypatch.setitem(series._BUILDERS, name, builder)
+    classes = counted(oracle.enumerate_class, lambda spec: (spec.length, spec.avoid))
+    monkeypatch.setattr(oracle, "enumerate_class", classes)
+    assert set(verify._three_routes(6, 14, 0, [])) == {""}
+    # one of each: the k, ck recurrence, series K and T, and the classes
+    # C_m(123) and C_m(132) for the lengths m = 2n and 2n + 1, n <= 6
+    patterns = ((1, 2, 3), (1, 3, 2))
+    assert calls == Counter(
+        ["k, ck", "K", "T"] + [(m, p) for m in range(14) for p in patterns]
     )
 
 
