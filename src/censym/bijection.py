@@ -26,6 +26,7 @@ phi and phi_inverse take O(n) time and no recursion: a round trip at
 """
 
 from dataclasses import dataclass
+from math import inf
 
 from .perms import (
     InvalidPermutation,
@@ -322,24 +323,43 @@ def _structural_half_words(n: int):
     A half word is x_1 w_1 followed by a smaller half word embedded in the
     reduced alphabet, where x_1 >= n, w_1 runs down from 2n through
     2n-l_1+1 with 2n-l_1+1 > x_1, and the embedded remainder starts below
-    x_1.
+    x_1.  The search keeps one stack frame per block: its remaining
+    choices of (l_1, x_1), its alphabet in the values of 1..2n, the value
+    its x_1 must stay below, and where its block starts in the word.
     """
     if n == 0:
         yield ()
         return
-    full = 2 * n
-    for l1 in range(n):
-        w1 = tuple(range(full, full - l1, -1))
-        for x1 in range(n, full - l1 + 1):
-            removed = {x1, full + 1 - x1}
-            removed.update(w1)
-            removed.update(full + 1 - v for v in w1)
-            alphabet = tuple(a for a in range(1, full + 1) if a not in removed)
-            for sub in _structural_half_words(n - 1 - l1):
-                embedded = embed_in(sub, alphabet)
-                if embedded and embedded[0] >= x1:
-                    continue
-                yield (x1,) + w1 + embedded
+    word = []
+    stack = [(_block_choices(n), tuple(range(1, 2 * n + 1)), inf, 0)]
+    while stack:
+        choices, alphabet, bound, start = stack[-1]
+        choice = next(choices, None)
+        if choice is None:
+            stack.pop()
+            continue
+        l1, x1 = choice
+        if alphabet[x1 - 1] >= bound:
+            continue
+        full = len(alphabet)
+        del word[start:]
+        word.append(alphabet[x1 - 1])
+        word.extend(reversed(alphabet[full - l1 :]))  # w_1
+        rest = full // 2 - 1 - l1
+        if rest == 0:
+            yield tuple(word)
+            continue
+        # drop w_1 and x_1 with their complements from the alphabet
+        reduced = tuple(
+            a for a in range(l1 + 1, full - l1 + 1) if a != x1 and a != full + 1 - x1
+        )
+        sub = embed_in(reduced, alphabet)
+        stack.append((_block_choices(rest), sub, alphabet[x1 - 1], len(word)))
+
+
+def _block_choices(n: int):
+    """(l_1, x_1) for a first block at half length n, in search order."""
+    return ((l1, x1) for l1 in range(n) for x1 in range(n, 2 * n - l1 + 1))
 
 
 def generate_c123_structural(length: int):

@@ -67,7 +67,7 @@ def _cmd_enumerate(args) -> int:
         avoid=_parse_pattern(args.avoid) if args.avoid else None,
         subclass=args.subclass,
     )
-    members = list(oracle.enumerate_class(spec))
+    members = oracle.enumerate_class(spec)  # lines and csv print as it goes
     if args.format == "lines":
         for p in members:
             print(p)
@@ -75,6 +75,7 @@ def _cmd_enumerate(args) -> int:
         for p in members:
             print(",".join(str(v) for v in p.values))
     else:
+        members = list(members)  # json prints the count first
         payload = {
             "length": args.len,
             "count": len(members),

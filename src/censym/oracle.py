@@ -13,10 +13,24 @@ subsequence of every completion.  Each value x of a complement pair not
 yet used lands between the half and its mirror, whichever of the pair the
 half takes later, so half + [x] + mirror is a subsequence of every
 completion too.  A node is cut as soon as one of these known words
-contains the pattern; at a leaf the known word is the whole permutation,
-so the test there is the final filter.  The cuts drop only branches
-without members, so the members come out in the same (lexicographic)
-order as an unpruned search.
+contains the pattern.  The cuts drop only branches without members, so
+the members come out in the same (lexicographic) order as an unpruned
+search.
+
+The search is one loop over an explicit stack, one frame per value of
+the half, and it yields each member as soon as it reaches its leaf.  For
+123 the cut needs no scan of the known words.  Each frame keeps two
+numbers for its half: lo, the least value, and s, the least value that
+ends an ascent.  A new value v past s completes a 123; otherwise it
+lowers lo or s.  With m+1 = top, the known words contain 123 exactly when
+s < top - lo (an occurrence across the half and its mirror) or some x
+between them has x > s or lo < x < top - lo; the free values are sorted
+and closed under complement, so that is a test of two of them and the
+middle.  321 is the same test on top - v, since the complement maps the
+free values and the mirror onto themselves.  Other patterns test the
+known words with perms.word_contains_pattern.  Whatever the pattern, the
+one containment test on the whole permutation decides membership at
+every leaf; the summaries only decide where the search cuts.
 
 The k, ck and g subclasses are read off the permutation alone (see
 _subclass_match), so this module imports nothing but perms.
@@ -26,6 +40,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
+from math import inf
 
 from .perms import (
     Permutation,
@@ -113,41 +128,76 @@ def _check_cap(spec: ClassSpec):
 
 
 def _centro_members(length: int, avoid):
-    """Centrosymmetric permutations from first-half choices, filtered."""
+    """Centrosymmetric permutations from first-half choices, filtered, each
+    yielded as soon as the search reaches it, in lexicographic order."""
     n = length // 2
+    top = length + 1  # a complement pair is {v, top - v}
     middle = [n + 1] if length % 2 else []
+    if n == 0:
+        if avoid is None or not word_contains_pattern(middle, avoid):
+            yield Permutation._trusted(middle)
+        return
+    flip = avoid == (3, 2, 1)  # 321 in v is 123 in top - v
+    summaries = flip or avoid == (1, 2, 3)
+
+    def known_words_contain(half, free):
+        mirror = [top - w for w in reversed(half)]
+        return word_contains_pattern(half + middle + mirror, avoid) or any(
+            word_contains_pattern(half + [x] + mirror, avoid) for x in free
+        )
+
     half = []
-    out = []
-
-    def rec(free):
-        # free: the values of the complement pairs the half has not used
-        mirror = [length + 1 - w for w in reversed(half)]
-        if avoid is not None and (
-            word_contains_pattern(half + middle + mirror, avoid)
-            or any(word_contains_pattern(half + [x] + mirror, avoid) for x in free)
-        ):
-            return
-        if len(half) == n:
-            out.append(Permutation._trusted(half + middle + mirror))
-            return
-        for v in free:
-            half.append(v)
-            rec([w for w in free if w != v and w != length + 1 - v])
-            half.pop()
-
-    rec([v for v in range(1, length + 1) if v not in middle])
-    # rec's closure holds rec itself and out; without this the cycle keeps
-    # every member alive until the cyclic garbage collector runs
-    del rec
-    return out
+    # a frame: the half's free values (sorted, closed under complement),
+    # the index of the next one to try, and the half's two 123 summaries
+    stack = [[[v for v in range(1, top) if v not in middle], 0, inf, inf]]
+    while stack:
+        frame = stack[-1]
+        free, i, lo, s = frame
+        if i == len(free):
+            stack.pop()
+            if stack:
+                half.pop()
+            continue
+        frame[1] = i + 1
+        v = free[i]
+        j = len(free) - 1 - i  # free[j] == top - v
+        a, b = (i, j) if i < j else (j, i)  # indices of the pair's lower, upper value
+        if summaries:
+            u = top - v if flip else v
+            if u > s:  # half + [u] contains 123
+                continue
+            if u < lo:
+                lo = u
+            elif u < s:
+                s = u
+            # an occurrence across the half and its mirror, or through one
+            # value x between them: x > s, or lo < x < top - lo.  Those x are
+            # the middle (top / 2) and the free values but the pair at a, b:
+            # test the largest of them and the largest below top / 2
+            if s < top - lo or (middle and lo < middle[0]):
+                continue
+            h = len(free) // 2
+            if h > 1 and (
+                free[-2 if a == 0 else -1] > s
+                or free[h - 2 if a == h - 1 else h - 1] > lo
+            ):
+                continue
+        child = free[:a] + free[a + 1 : b] + free[b + 1 :]
+        half.append(v)
+        if not child:
+            word = half + middle + [top - w for w in reversed(half)]
+            if avoid is None or not word_contains_pattern(word, avoid):
+                yield Permutation._trusted(word)
+        elif avoid is None or summaries or not known_words_contain(half, child):
+            stack.append([child, 0, lo, s])
+            continue
+        half.pop()
 
 
 def _general_members(length: int, avoid):
-    out = []
     for values in _all_permutations(range(1, length + 1)):
         if avoid is None or not word_contains_pattern(values, avoid):
-            out.append(Permutation._trusted(values))
-    return out
+            yield Permutation._trusted(values)
 
 
 def _subclass_match(p: Permutation, name: str) -> bool:
@@ -172,10 +222,8 @@ def _subclass_match(p: Permutation, name: str) -> bool:
 def enumerate_class(spec: ClassSpec):
     """Members of the class, in a deterministic (lexicographic) order."""
     _check_cap(spec)
-    if spec.centrosymmetric:
-        members = _centro_members(spec.length, spec.avoid)
-    else:
-        members = _general_members(spec.length, spec.avoid)
+    search = _centro_members if spec.centrosymmetric else _general_members
+    members = search(spec.length, spec.avoid)
     if spec.subclass is None:
         yield from members
     else:

@@ -96,7 +96,7 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def reverse(p: Permutation) -> Permutation:
-    return Permutation(p.values[::-1])
+    return Permutation._trusted(p.values[::-1])
 
 
 def complement(p: Permutation) -> Permutation:

@@ -242,3 +242,10 @@ def test_structural_generator_matches_path_generator(catalogue):
     assert catalogue(6, "structural generator matches inverse image").ok
     counts = [sum(1 for _ in generate_c123_structural(2 * n)) for n in range(7)]
     assert counts == [comb(2 * n, n) for n in range(7)]
+
+
+def test_structural_generator_reaches_length_2400():
+    # one stack frame per block, so 1200 blocks deep is no recursion limit
+    first = next(generate_c123_structural(2400))
+    assert first.values == tuple(range(1200, 0, -1)) + tuple(range(2400, 1200, -1))
+    perms.require_member(first)

@@ -552,6 +552,18 @@ def test_closed_stdout_is_not_an_error():
     assert run_piped(script, 1) == (0, ["8 7 6 5 4 3 2 1 16 15 14 13 12 11 10 9\n"], "")
 
 
+def test_enumerate_streams_its_members():
+    # C_2400 has 1200! 2^1200 members: the first line comes straight from
+    # the search, and closing the pipe ends the run
+    script = (
+        "import os, sys; from censym.cli import main; "
+        "os.environ['CENSYM_MAX_ORACLE_N'] = '3000'; "
+        "sys.exit(main(['enumerate', '--len', '2400', '--centro']))"
+    )
+    first = " ".join(str(v) for v in range(1, 2401)) + "\n"
+    assert run_piped(script, 1) == (0, [first], "")
+
+
 @pytest.mark.parametrize("ok, code", [(True, 0), (False, 1)])
 def test_verify_with_closed_stdout_keeps_its_verdict(ok, code):
     script = (

@@ -1,6 +1,6 @@
 import ast
 import gc
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb
 from pathlib import Path
 
@@ -20,6 +20,7 @@ from censym.paths import classify
 from censym.perms import avoids_pattern, is_centrosymmetric, word_contains_pattern
 
 from tests.paper import C6_132, C7_132
+from tests.reference import centro_avoiders, lis_length
 
 
 def _texts(spec):
@@ -226,3 +227,59 @@ def test_oracle_imports_only_perms():
         elif isinstance(node, ast.Import):
             assert all(a.name.split(".")[0] != "censym" for a in node.names)
     assert internal == {"perms"}
+
+
+@pytest.mark.parametrize("pattern", [(1, 2, 3), (3, 2, 1)], ids=["123", "321"])
+def test_summary_search_equals_unpruned_reference(pattern):
+    for length in range(13):
+        spec = ClassSpec(length, centrosymmetric=True, avoid=pattern)
+        got = [p.values for p in enumerate_class(spec)]
+        assert got == centro_avoiders(length, pattern), (pattern, length)
+
+
+@pytest.mark.parametrize("avoid", [None, (1, 2, 3)], ids=["all", "123"])
+def test_first_members_at_length_2400(monkeypatch, avoid):
+    # the search keeps its own stack, so depth 1200 is no recursion limit
+    monkeypatch.setenv("CENSYM_MAX_ORACLE_N", "2400")
+    spec = ClassSpec(2400, centrosymmetric=True, avoid=avoid)
+    first = list(islice(enumerate_class(spec), 3))
+    assert len(first) == 3 and first == sorted(first)
+    for p in first:
+        assert is_centrosymmetric(p)
+        assert avoid is None or lis_length(p.values) < 3
+    if avoid is None:
+        assert first[0].values == tuple(range(1, 2401))
+    else:
+        half = tuple(range(1200, 0, -1))
+        assert first[0].values == half + tuple(2401 - v for v in reversed(half))
+
+
+@pytest.fixture
+def containment_calls(monkeypatch):
+    """The patterns of the oracle's word_contains_pattern calls, as made."""
+    calls = []
+
+    def counted(word, pattern):
+        calls.append(pattern)
+        return word_contains_pattern(word, pattern)
+
+    monkeypatch.setattr(censym.oracle, "word_contains_pattern", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pattern", [(1, 2, 3), (3, 2, 1)], ids=["123", "321"])
+def test_summaries_cut_exactly(containment_calls, pattern):
+    # the two numbers per level cut every branch without members, so each
+    # leaf the search reaches is a member and the final filter runs once
+    for length in range(15):
+        spec = ClassSpec(length, centrosymmetric=True, avoid=pattern)
+        containment_calls.clear()
+        members = sum(1 for _ in enumerate_class(spec))
+        assert len(containment_calls) == members, (pattern, length)
+
+
+def test_search_yields_before_the_class_is_built(containment_calls):
+    spec = ClassSpec(16, centrosymmetric=True, avoid=(1, 2, 3))
+    first = next(enumerate_class(spec))
+    assert first.values == (8, 7, 6, 5, 4, 3, 2, 1, 16, 15, 14, 13, 12, 11, 10, 9)
+    assert len(containment_calls) < 10 < comb(16, 8)
