@@ -11,7 +11,6 @@ generating series.
 from .bijection import (
     PhiTrace,
     VerificationError,
-    components_vs_returns,
     even_to_odd_132,
     generate_c123_even,
     generate_c123_structural,
@@ -69,7 +68,6 @@ __all__ = [
     "VerificationError",
     "avoids_pattern",
     "classify",
-    "components_vs_returns",
     "contains_pattern",
     "descent_count",
     "descent_histogram",

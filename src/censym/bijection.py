@@ -33,12 +33,12 @@ from .perms import (
     Permutation,
     VerificationError,
     _UpperValues,
+    _require_even_centrosymmetric,
     _walk_blocks,
     contains_pattern,
     embed_in,
     is_centrosymmetric,
     require_member,
-    right_connected_components,
 )
 from .paths import InvalidPath, LatticePath, enumerate_prefixes
 
@@ -201,27 +201,6 @@ def phi_inverse(path: LatticePath) -> Permutation:
     return Permutation(half + tuple(m + 1 - v for v in reversed(half)))
 
 
-def components_vs_returns(p: Permutation) -> dict:
-    """Check the component/return relation and report both sides.
-
-    The number of right connected components equals twice the number of
-    returns of phi(p), plus one when phi(p) is not a Dyck path.
-    """
-    components = len(right_connected_components(p))
-    path = phi(p)
-    expected = 2 * path.returns + (0 if path.is_dyck_path else 1)
-    if components != expected:
-        raise VerificationError(
-            f"component/return relation failed for {p}: "
-            f"{components} components vs {expected} expected"
-        )
-    return {
-        "components": components,
-        "returns": path.returns,
-        "dyck": path.is_dyck_path,
-    }
-
-
 # ---------------------------------------------------------------------------
 # odd-length 123-avoiders
 
@@ -266,8 +245,7 @@ def even_to_odd_132(p: Permutation) -> Permutation:
     n+1.  Descents are preserved except that a middle descent of p (an odd
     des) turns into one more: des goes from 2t+1 to 2t+2.
     """
-    if len(p) % 2 or not is_centrosymmetric(p):
-        raise InvalidPermutation("not centrosymmetric of even length")
+    _require_even_centrosymmetric(p)
     if contains_pattern(p, (1, 3, 2)):
         raise InvalidPermutation("contains the pattern 132")
     n = len(p) // 2
@@ -278,27 +256,39 @@ def even_to_odd_132(p: Permutation) -> Permutation:
 def generate_c132(n: int):
     """All centrosymmetric 132-avoiders of length n.
 
-    Even lengths by structure: the identity, or y y+1 .. n, then a smaller
-    member renormalized into the middle values, then 1 2 .. n+1-y, for each
-    y above n/2.  Odd lengths via even_to_odd_132.
+    A member is the identity wrapped in layers, outermost first: a layer
+    of width w puts the top w values left to it, increasing, at the front
+    and the bottom w at the back, and with r values left its width runs
+    from r // 2 down to 1.  The identity fills the middle, the fixed point
+    of an odd length included, so odd members are even_to_odd_132 of the
+    even ones.  The widths are the stack of a depth-first search, and each
+    member comes before the members that wrap it in more layers.
     """
     if n < 0:
         raise InvalidPermutation("length must be nonnegative")
-    if n == 0:
-        yield Permutation(())
-        return
-    if n % 2:
-        for p in generate_c132(n - 1):
-            yield even_to_odd_132(p)
-        return
-    yield Permutation(range(1, n + 1))
-    for y in range((n + 1) // 2 + 1, n + 1):
-        inner = 2 * y - 2 - n
-        prefix = tuple(range(y, n + 1))
-        suffix = tuple(range(1, n + 2 - y))
-        for beta in generate_c132(inner):
-            middle = tuple(v + (n + 1 - y) for v in beta.values)
-            yield Permutation(prefix + middle + suffix)
+    widths = []
+    while True:
+        yield _layered(n, widths)
+        left = n - 2 * sum(widths)
+        if left > 1:  # one more layer, the widest first
+            widths.append(left // 2)
+            continue
+        while widths and widths[-1] == 1:  # no narrower layer at this depth
+            widths.pop()
+        if not widths:
+            return
+        widths[-1] -= 1
+
+
+def _layered(n: int, widths) -> Permutation:
+    """The member of length n with the given layer widths, outermost first."""
+    front = []
+    top = n
+    for w in widths:
+        front += range(top - w + 1, top + 1)
+        top -= w
+    back = [n + 1 - v for v in reversed(front)]
+    return Permutation._trusted(front + list(range(n - top + 1, top + 1)) + back)
 
 
 # ---------------------------------------------------------------------------

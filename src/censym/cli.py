@@ -14,9 +14,8 @@ import os
 import sys
 
 from . import bijection, oracle, tables, verify
-from .oracle import CapExceeded
-from .paths import InvalidPath, LatticePath
-from .perms import InvalidPermutation, parse_permutation, stats
+from .paths import LatticePath
+from .perms import parse_permutation, stats
 from .series import NAMED_SERIES, NamedSeries
 
 
@@ -196,7 +195,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader stopped reading: not an error
         _stdout_closed()
         return 0
-    except (InvalidPermutation, InvalidPath, CapExceeded, ValueError) as exc:
+    except ValueError as exc:  # InvalidPermutation, InvalidPath and CapExceeded too
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

@@ -209,14 +209,14 @@ def _subclass_match(p: Permutation, name: str) -> bool:
     """
     n = len(p) // 2
     high = all(v > n for v in p.values[:n])
-    c = len(right_connected_components(p))
     if name == "k":
         return high
     if name == "ck":
-        return high and c == 2
-    if name == "g":
-        return not high and c == 1
-    return not high and c != 1  # composite
+        return high and len(right_connected_components(p)) == 2
+    if high:
+        return False
+    single = len(right_connected_components(p)) == 1
+    return single if name == "g" else not single  # composite
 
 
 def enumerate_class(spec: ClassSpec):

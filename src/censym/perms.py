@@ -236,34 +236,25 @@ def ltr_minima(p: Permutation) -> tuple:
     return tuple(out)
 
 
-def connected_components(p: Permutation) -> tuple:
-    """Finest split into position intervals I with p(I) = I.
+def right_connected_components(p: Permutation) -> tuple:
+    """Finest split into position intervals I with p(I) = m+1-I, read
+    left to right, as 1-based (start, end) pairs.
 
-    Returns 1-based (start, end) pairs.  A cut is legal after position i
-    exactly when max(p(1..i)) = i.
+    These are the connected components of the reversed permutation,
+    mapped back.  A cut follows position i exactly when
+    min(p(1..i)) = m+1-i.
     """
+    m = len(p)
     out = []
     start = 1
-    mx = 0
+    low = m + 1
     for i, v in enumerate(p.values, start=1):
-        if v > mx:
-            mx = v
-        if mx == i:
+        if v < low:
+            low = v
+        if low == m + 1 - i:
             out.append((start, i))
             start = i + 1
     return tuple(out)
-
-
-def right_connected_components(p: Permutation) -> tuple:
-    """Connected components of the reversed permutation, mapped back.
-
-    For a centrosymmetric permutation the resulting intervals coincide with
-    the blocks one sees when reading the plot from the right edge.
-    """
-    m = len(p)
-    return tuple(
-        sorted((m + 1 - b, m + 1 - a) for a, b in connected_components(reverse(p)))
-    )
 
 
 def _require_even_centrosymmetric(p: Permutation):

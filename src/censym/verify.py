@@ -264,13 +264,16 @@ def _final_height(m, members):
 
 
 def _components_vs_returns(m, members):
+    """Right components number twice the returns of phi(p), plus one
+    when phi(p) is not a Dyck path."""
     for p in members:
-        try:
-            bijection.components_vs_returns(p)
-        except bijection.VerificationError as exc:
-            yield str(exc)
-        else:
-            yield ""
+        components = len(perms.right_connected_components(p))
+        path = bijection.phi(p)
+        expected = 2 * path.returns + (not path.is_dyck_path)
+        yield "" if components == expected else (
+            f"component/return relation failed for {p}: "
+            f"{components} components vs {expected} expected"
+        )
 
 
 def _dyck_descents(m, members):

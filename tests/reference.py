@@ -35,3 +35,43 @@ def centro_avoiders(length: int, pattern) -> list:
         if lis_length([top - v for v in word] if flip else word) < 3:
             out.append(word)
     return out
+
+
+def right_components(values) -> tuple:
+    """Right connected components as 1-based (start, end) pairs: the
+    connected components of the reversed word (intervals I it maps onto
+    I, cut after i when max(w(1..i)) = i), mapped back and sorted."""
+    m = len(values)
+    components = []
+    start = mx = 0
+    for i, v in enumerate(reversed(values), start=1):
+        mx = max(mx, v)
+        if mx == i:
+            components.append((start + 1, i))
+            start = i
+    return tuple(sorted((m + 1 - b, m + 1 - a) for a, b in components))
+
+
+def c132_recursive(n: int) -> list:
+    """Value tuples of the centrosymmetric 132-avoiders of length n.
+
+    Even lengths: the identity, then for each y above n/2 the values
+    y..n, a shorter member shifted into the middle values, and 1..n+1-y.
+    Odd lengths insert the middle fixed point into each member of length
+    n-1, shifting the values above it up by one.
+    """
+    if n == 0:
+        return [()]
+    if n % 2:
+        h = n // 2
+        out = []
+        for w in c132_recursive(n - 1):
+            shifted = tuple(v + (v > h) for v in w)
+            out.append(shifted[:h] + (h + 1,) + shifted[h:])
+        return out
+    out = [tuple(range(1, n + 1))]
+    for y in range(n // 2 + 1, n + 1):
+        for inner in c132_recursive(2 * y - 2 - n):
+            middle = tuple(v + n + 1 - y for v in inner)
+            out.append(tuple(range(y, n + 1)) + middle + tuple(range(1, n + 2 - y)))
+    return out

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from censym import perms
 from censym.bijection import (
     _phi_blocks,
-    components_vs_returns,
     even_to_odd_132,
     generate_c123_even,
     generate_c123_structural,
@@ -33,7 +32,7 @@ from censym.perms import (
 )
 
 from tests.paper import PHI_FIGURE, PHI_INVERSE_FIGURE
-from tests.reference import lis_length
+from tests.reference import c132_recursive, lis_length
 
 LENGTH_FOUR_MAP = {
     (2, 1, 4, 3): "UUUU",
@@ -174,13 +173,6 @@ def test_final_height_counts_tiny_minima(catalogue):
     assert catalogue(5, "final height 2#tiny; Dyck iff no tiny minima").ok
 
 
-def test_components_vs_returns_record():
-    record = components_vs_returns(Permutation((4, 2, 3, 1)))
-    assert record == {"components": 3, "returns": 1, "dyck": False}
-    record = components_vs_returns(Permutation((3, 4, 1, 2)))
-    assert record == {"components": 2, "returns": 1, "dyck": True}
-
-
 def test_components_vs_returns_exhaustive(catalogue):
     assert catalogue(5, "right components track path returns").ok
 
@@ -236,6 +228,11 @@ def test_generate_c132_matches_brute_force(catalogue):
     assert catalogue(4, "132 structural generator matches brute force").ok
     counts = [sum(1 for _ in generate_c132(m)) for m in range(9)]
     assert counts == [2 ** (m // 2) for m in range(9)]
+
+
+def test_generate_c132_matches_recursive_reference():
+    for n in range(17):
+        assert [p.values for p in generate_c132(n)] == c132_recursive(n), n
 
 
 def test_structural_generator_matches_path_generator(catalogue):

@@ -18,6 +18,7 @@ from censym.oracle import (
 )
 from censym.paths import classify
 from censym.perms import avoids_pattern, is_centrosymmetric, word_contains_pattern
+from censym.tables import descent_tables
 
 from tests.paper import C6_132, C7_132
 from tests.reference import centro_avoiders, lis_length
@@ -283,3 +284,14 @@ def test_search_yields_before_the_class_is_built(containment_calls):
     first = next(enumerate_class(spec))
     assert first.values == (8, 7, 6, 5, 4, 3, 2, 1, 16, 15, 14, 13, 12, 11, 10, 9)
     assert len(containment_calls) < 10 < comb(16, 8)
+
+
+def test_k_table_counts_no_components(monkeypatch):
+    # k is read off the first half alone; components decide only ck, g
+    # and composite
+    def counted(p):
+        raise AssertionError(f"components built for {p}")
+
+    monkeypatch.setattr(censym.oracle, "right_connected_components", counted)
+    rows = descent_tables("oracle", ("k",), 6)["k"].rows
+    assert [sum(row) for row in rows] == [comb(2 * n, n) // (n + 1) for n in range(7)]

@@ -11,7 +11,6 @@ from censym.perms import (
     _walk_blocks,
     avoids_pattern,
     complement,
-    connected_components,
     contains_pattern,
     descent_count,
     descent_set,
@@ -30,7 +29,7 @@ from censym.perms import (
 
 from censym.bijection import generate_c123_even
 from tests.paper import PHI_FIGURE
-from tests.reference import lis_length
+from tests.reference import lis_length, right_components
 
 perms_upto = lambda m: st.integers(1, m).flatmap(
     lambda k: st.permutations(range(1, k + 1))
@@ -142,12 +141,6 @@ def test_ltr_minima():
     assert ltr_minima(Permutation(())) == ()
 
 
-def test_components():
-    p = Permutation((2, 1, 3, 5, 4))
-    assert connected_components(p) == ((1, 2), (3, 3), (4, 5))
-    assert connected_components(Permutation(())) == ()
-
-
 def test_right_components_of_known_example():
     # 78645312 splits as 78|6|45|3|12 reading maximal right-hand blocks
     p = Permutation((7, 8, 6, 4, 5, 3, 1, 2))
@@ -158,6 +151,14 @@ def test_right_components_of_known_example():
         (6, 6),
         (7, 8),
     )
+
+
+def test_right_components_match_reversed_components():
+    for m in range(8):
+        for values in itertools.permutations(range(1, m + 1)):
+            assert right_connected_components(Permutation(values)) == (
+                right_components(values)
+            ), values
 
 
 @given(perms_upto(7))
