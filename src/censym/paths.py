@@ -36,6 +36,13 @@ class LatticePath:
                 raise InvalidPath(f"illegal character {c!r} at step {i}")
         self.steps = steps
 
+    @classmethod
+    def _trusted(cls, steps):
+        """A path of steps the library built itself, unchecked."""
+        path = object.__new__(cls)
+        path.steps = steps
+        return path
+
     def __len__(self):
         return len(self.steps)
 
@@ -65,26 +72,20 @@ class LatticePath:
     def final_height(self) -> int:
         return self.steps.count("U") - self.steps.count("D")
 
+    def _return_ends(self) -> list:
+        """1-based indices of the D steps landing at height 0, in order."""
+        # a valid path lands at height 0 only by a D step
+        return [i for i, h in enumerate(self.heights()) if i and not h]
+
     @property
     def returns(self) -> int:
         """Number of D steps landing at height 0."""
-        h = 0
-        r = 0
-        for c in self.steps:
-            h += 1 if c == "U" else -1
-            if h == 0 and c == "D":
-                r += 1
-        return r
+        return len(self._return_ends())
 
     def last_return(self) -> int | None:
         """1-based index of the last D step landing at height 0, if any."""
-        h = 0
-        last = None
-        for i, c in enumerate(self.steps, start=1):
-            h += 1 if c == "U" else -1
-            if h == 0 and c == "D":
-                last = i
-        return last
+        ends = self._return_ends()
+        return ends[-1] if ends else None
 
     @property
     def valleys(self) -> int:
@@ -152,8 +153,9 @@ def classify(path: LatticePath) -> PathClassification:
     if last is None:
         # proper with no return: elevated proper prefix
         return PathClassification(False, True, None)
-    left = LatticePath(path.steps[:last])
-    right = LatticePath(path.steps[last:])
+    # both parts are sub-walks of a valid path that start at height 0
+    left = LatticePath._trusted(path.steps[:last])
+    right = LatticePath._trusted(path.steps[last:])
     return PathClassification(False, False, (left, right))
 
 
@@ -172,18 +174,14 @@ def enumerate_prefixes(length: int):
             f"length {length} exceeds enumeration cap {MAX_ENUMERATION_LENGTH}"
         )
 
-    buf = []
-
-    def rec(h, remaining):
-        if remaining == 0:
-            yield LatticePath("".join(buf))
-            return
-        buf.append("U")
-        yield from rec(h + 1, remaining - 1)
-        buf.pop()
-        if h > 0:
-            buf.append("D")
-            yield from rec(h - 1, remaining - 1)
-            buf.pop()
-
-    yield from rec(0, length)
+    # a frame is (steps, height); U is pushed last so that it is walked
+    # first, and D only above height 0, so every leaf is a valid prefix
+    stack = [("", 0)]
+    while stack:
+        steps, h = stack.pop()
+        if len(steps) == length:
+            yield LatticePath._trusted(steps)
+            continue
+        if h:
+            stack.append((steps + "D", h - 1))
+        stack.append((steps + "U", h + 1))

@@ -95,15 +95,6 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(values)
 
 
-def reverse(p: Permutation) -> Permutation:
-    return Permutation._trusted(p.values[::-1])
-
-
-def complement(p: Permutation) -> Permutation:
-    n = len(p)
-    return Permutation(tuple(n + 1 - v for v in p.values))
-
-
 def is_centrosymmetric(p: Permutation) -> bool:
     n = len(p)
     return all(p.values[i] + p.values[n - 1 - i] == n + 1 for i in range(n))

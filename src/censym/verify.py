@@ -412,7 +412,8 @@ def _random_integral_series(rng, order):
 
 def _series_arithmetic(max_n, cap, seed, notes):
     rng = random.Random(seed)
-    order = max(max_n, 2)
+    # the round trips do not depend on the order, so it stops at 10
+    order = min(max(max_n, 2), 10)
     for trial in range(25):
         a = _random_integral_series(rng, order)
         b = _random_integral_series(rng, order)

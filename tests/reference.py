@@ -5,7 +5,9 @@ library against an independent route.
 """
 
 from bisect import bisect_left
-from itertools import permutations
+from itertools import accumulate, permutations, product
+
+from censym.perms import Permutation
 
 
 def lis_length(seq) -> int:
@@ -18,6 +20,24 @@ def lis_length(seq) -> int:
         else:
             tails[i] = v
     return len(tails)
+
+
+def reverse(p: Permutation) -> Permutation:
+    return Permutation(p.values[::-1])
+
+
+def complement(p: Permutation) -> Permutation:
+    return Permutation(len(p) + 1 - v for v in p.values)
+
+
+def dyck_prefixes(length: int) -> list:
+    """Step strings of the Dyck prefixes of the length, lexicographic with
+    U < D: every U/D word whose partial sums are all nonnegative."""
+    return [
+        "".join(word)
+        for word in product("UD", repeat=length)
+        if min(accumulate((1 if c == "U" else -1 for c in word), initial=0)) >= 0
+    ]
 
 
 def centro_avoiders(length: int, pattern) -> list:

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from censym.paths import (
     enumerate_prefixes,
     path_stats,
 )
+from tests.reference import dyck_prefixes
 
 
 def test_validation():
@@ -90,7 +93,22 @@ def test_elevated_dyck_path():
 def test_enumerate_counts_and_order(catalogue):
     got = [p.steps for p in enumerate_prefixes(4)]
     assert got == ["UUUU", "UUUD", "UUDU", "UUDD", "UDUU", "UDUD"]
+    for length in range(0, 15, 2):
+        assert [p.steps for p in enumerate_prefixes(length)] == dyck_prefixes(length)
     assert catalogue(6, "prefix count C(2n, n)").ok
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # a call's state must go when the caller drops it, not at the next
+    # run of the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        for length in range(0, 11, 2):
+            list(enumerate_prefixes(length))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_validation():

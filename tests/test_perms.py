@@ -10,7 +10,6 @@ from censym.perms import (
     _backtrack_contains,
     _walk_blocks,
     avoids_pattern,
-    complement,
     contains_pattern,
     descent_count,
     descent_set,
@@ -21,7 +20,6 @@ from censym.perms import (
     parse_permutation,
     rank_within,
     require_member,
-    reverse,
     right_connected_components,
     stats,
     word_contains_pattern,
@@ -29,7 +27,7 @@ from censym.perms import (
 
 from censym.bijection import generate_c123_even
 from tests.paper import PHI_FIGURE
-from tests.reference import lis_length, right_components
+from tests.reference import complement, lis_length, reverse, right_components
 
 perms_upto = lambda m: st.integers(1, m).flatmap(
     lambda k: st.permutations(range(1, k + 1))

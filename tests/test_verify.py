@@ -82,3 +82,21 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_has_no_recursion():
+    """A function that calls itself by name fails at the recursion limit,
+    so input size alone could crash it."""
+    found = [
+        f"{path.stem}.{node.name}:{node.lineno}"
+        for path in sorted(Path(censym.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+    assert found == []
