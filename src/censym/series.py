@@ -6,7 +6,13 @@ outside (terms, scale factors, operands) must be ints, and division and
 square root must come out exact: anything else raises.  Division and
 square root work by coefficient recurrences and need the constant term to
 be a nonzero scalar (respectively exactly 1), which every formula used
-here satisfies after factoring out the appropriate monomial.
+here satisfies after factoring out the appropriate monomial.  The square
+root R of D solves its differential equation 2 D R' = D' R, a
+convolution against D: the named closed forms take roots of series of
+x-degree 2, so each root row costs two row products.  T is built in a
+rationalized form with no series in K in its denominator, so every
+divisor here has x-degree at most 2 and every named row costs O(1) row
+products; verify checks it against the printed quotient in K.
 
 The private y-polynomial kernel (`_padd`, `_pmul`, `_pshift`, ...) is the
 package's only polynomial arithmetic; `tables` runs its recurrences on it.
@@ -127,10 +133,6 @@ class BivariateSeries:
         row = self.coeffs[i]
         return row[j] if j < len(row) else 0
 
-    def y_degree(self, i: int) -> int:
-        """Degree in y of the x^i coefficient (-1 for zero)."""
-        return len(self.coeffs[i]) - 1
-
     def __eq__(self, other):
         return (
             isinstance(other, BivariateSeries)
@@ -143,11 +145,6 @@ class BivariateSeries:
 
     def __repr__(self):
         return f"BivariateSeries(order={self.order}, coeffs={self.coeffs!r})"
-
-    def truncate(self, order: int) -> "BivariateSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return BivariateSeries(order, self.coeffs[: order + 1])
 
     def _coerce(self, other):
         if isinstance(other, BivariateSeries):
@@ -214,14 +211,23 @@ class BivariateSeries:
         return BivariateSeries(order, quotient)
 
     def sqrt(self) -> "BivariateSeries":
-        """Square root of a series with constant term exactly 1."""
+        """Square root of a series with constant term exactly 1.
+
+        R = sqrt(D) solves 2 D R' = D' R, so r_0 = 1 and
+        2n r_n = sum_{j=1..n} (3j - 2n) d_j r_{n-j}; only the nonzero rows
+        d_j enter, so a D of x-degree 2 costs two row products per row.
+        """
         if self.coeffs[0] != (1,):
             raise ValueError("constant term must be 1")
+        rows = [(j, d) for j, d in enumerate(self.coeffs) if j and d]
         root = [(1,)]
-        for i in range(1, self.order + 1):
-            known = _pdot(root[1:i], reversed(root[1:i]))
-            acc = _padd(self.coeffs[i], _pneg(known))
-            root.append(tuple(_div(c, 2) for c in acc))
+        for n in range(1, self.order + 1):
+            terms = [(j, d) for j, d in rows if j <= n]
+            acc = _pdot(
+                [_pscale(d, 3 * j - 2 * n) for j, d in terms],
+                [root[n - j] for j, _ in terms],
+            )
+            root.append(tuple(_div(c, 2 * n) for c in acc))
         return BivariateSeries(self.order, root)
 
     def div_x(self, k: int) -> "BivariateSeries":
@@ -304,21 +310,21 @@ def _series_CK(order, named):
 
 
 def _series_T(order, named):
-    k = named["K"]
-    num = (
-        -(k * k).mul_term(1, 3)
-        + k
-        + k.mul_term(1, 1)
-        - k.mul_term(1, 2).scale(2)
-        + k.mul_term(1, 3)
-        + BivariateSeries.from_terms(order, [(1, 2, 1), (1, 1, -2), (1, 0, 1)])
+    # the printed T, a quotient in K, rationalized: with h = 1 + x - xy^2,
+    # g = 1 - 2xy - 2xy^2 and R the even root,
+    # T = ((1 - y)(2xy^3 - 2xy - 2y - 1) g + (1 + y) R) / (2 y^2 h g);
+    # verify checks it against the printed form
+    root = BivariateSeries.from_terms(order, _EVEN_SQRT_ARG).sqrt()
+    poly = BivariateSeries.from_terms
+    g = poly(order, [(0, 0, 1), (1, 1, -2), (1, 2, -2)])
+    # (1 - y)(2xy^3 - 2xy - 2y - 1), expanded
+    factor = poly(
+        order,
+        [(0, 0, -1), (0, 1, -1), (0, 2, 2), (1, 1, -2), (1, 2, 2), (1, 3, 2), (1, 4, -2)],
     )
-    den = (
-        BivariateSeries.from_terms(order, [(0, 0, 1), (1, 1, -1), (1, 3, 1)])
-        - k.mul_term(1, 2)
-        - k.mul_term(1, 3)
-    )
-    return num / den
+    num = factor * g + root + root.mul_term(0, 1)
+    den = poly(order, [(0, 0, 2), (1, 0, 2), (1, 2, -2)]) * g
+    return num.div_y(2) / den
 
 
 def _series_S(order, named):
@@ -347,9 +353,9 @@ NAMED_SERIES = tuple(_BUILDERS)
 
 class NamedSeries(dict):
     """The closed-form series at one order by name, each expanded exactly
-    on first lookup and kept, so the K and T that CK, T and S are written in
-    are built once.  Every division on the way must be exact, and row n
-    must have y-degree at most 2n+1."""
+    on first lookup and kept, so the K that CK and S are written in, and
+    the T that S is written in, are built once.  Every division on the way
+    must be exact, and row n must have y-degree at most 2n+1."""
 
     def __init__(self, order: int):
         if order < 0:

@@ -448,14 +448,34 @@ def _series_identities(max_n, cap, seed, notes):
     zero = BivariateSeries.from_terms(order, [])
     poly = BivariateSeries.from_terms
     km1 = k - 1
+    km1_squared = km1 * km1
     quadratic = (
-        km1 * km1 * poly(order, [(1, 3, 1), (2, 5, -1), (2, 3, 1)])
+        km1_squared * poly(order, [(1, 3, 1), (2, 5, -1), (2, 3, 1)])
         + km1 * poly(order, [(1, 2, 2), (2, 2, 2), (2, 4, -2), (0, 0, -1)])
         + poly(order, [(1, 1, 1), (2, 3, -1), (2, 1, 1)])
     )
     yield "" if quadratic == zero else "quadratic relation for K fails"
-    composite = k + s - 1 + ((k - 1) * (s - 1)).mul_term(0, 1, 1)
-    yield "" if t == composite else "T != K + S - 1 + y (K - 1)(S - 1)"
+    # the T that the paper prints, a quotient in K, cross-multiplied, so
+    # that the rationalized form NamedSeries builds is checked against it;
+    # its K^2 is (K - 1)^2 + 2K - 1
+    printed_num = (
+        -(km1_squared + k.scale(2) - 1).mul_term(1, 3)
+        + k
+        + k.mul_term(1, 1)
+        - k.mul_term(1, 2).scale(2)
+        + k.mul_term(1, 3)
+        + poly(order, [(1, 2, 1), (1, 1, -2), (1, 0, 1)])
+    )
+    printed_den = (
+        poly(order, [(0, 0, 1), (1, 1, -1), (1, 3, 1)])
+        - k.mul_term(1, 2)
+        - k.mul_term(1, 3)
+    )
+    if t * printed_den != printed_num:
+        yield "printed T != its rationalized form"
+    else:
+        composite = k + s - 1 + (km1 * (s - 1)).mul_term(0, 1, 1)
+        yield "" if t == composite else "T != K + S - 1 + y (K - 1)(S - 1)"
     s_relation = (
         1
         + BivariateSeries.from_terms(order, [(1, 0, 1)])

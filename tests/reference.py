@@ -8,6 +8,7 @@ from bisect import bisect_left
 from itertools import accumulate, permutations, product
 
 from censym.perms import Permutation
+from censym.series import BivariateSeries, _div, _padd, _pdot, _pneg
 
 
 def lis_length(seq) -> int:
@@ -95,3 +96,16 @@ def c132_recursive(n: int) -> list:
             middle = tuple(v + n + 1 - y for v in inner)
             out.append(tuple(range(y, n + 1)) + middle + tuple(range(1, n + 2 - y)))
     return out
+
+
+def series_sqrt(d: BivariateSeries) -> BivariateSeries:
+    """Square root of a series with constant term exactly 1, by convolving
+    the root with itself: r_n = (d_n - sum_{0<i<n} r_i r_{n-i}) / 2."""
+    if d.coeffs[0] != (1,):
+        raise ValueError("constant term must be 1")
+    root = [(1,)]
+    for i in range(1, d.order + 1):
+        known = _pdot(root[1:i], reversed(root[1:i]))
+        acc = _padd(d.coeffs[i], _pneg(known))
+        root.append(tuple(_div(c, 2) for c in acc))
+    return BivariateSeries(d.order, root)

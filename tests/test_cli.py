@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from censym import bijection, cli, oracle, perms, tables
+from censym import bijection, cli, oracle, perms, series, tables
 from censym.paths import LatticePath
 from censym.perms import VerificationError, parse_permutation
 from censym.verify import Check, SuiteReport
@@ -505,6 +505,23 @@ def test_verify_series_report_under_route_faults_is_frozen(monkeypatch, capsys):
     monkeypatch.setattr(tables, "_series_rows", series_rows)
     out = run(capsys, *argv)
     assert out == (1, VERIFY_SERIES_4_ROUTE_FAULTS, "")
+
+
+def test_verify_checks_t_against_the_printed_form(monkeypatch, capsys):
+    real_series_T = series._BUILDERS["T"]
+
+    def series_T(order, named):
+        rows = list(real_series_T(order, named).coeffs)
+        rows[3] = rows[3][:4] + (rows[3][4] + 1,) + rows[3][5:]
+        return series.BivariateSeries(order, rows)
+
+    monkeypatch.setitem(series._BUILDERS, "T", series_T)
+    code, out, _ = run(capsys, "verify", "--suite", "series", "--max-n", "6")
+    assert code == 1
+    assert (
+        "FAIL named series identities (5 checked): "
+        "printed T != its rationalized form\n"
+    ) in out
 
 
 def test_python_dash_m_runs_the_cli():

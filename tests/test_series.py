@@ -1,4 +1,5 @@
 import ast
+import random
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 
 import censym.series
 import censym.tables
-from censym.series import BivariateSeries, NAMED_SERIES, NamedSeries
+from censym.series import (
+    _EVEN_SQRT_ARG,
+    _ODD_SQRT_ARG,
+    BivariateSeries,
+    NAMED_SERIES,
+    NamedSeries,
+)
 from censym.tables import (
     FAMILIES,
     descent_tables,
@@ -17,6 +24,7 @@ from censym.tables import (
     table_to_csv,
 )
 from censym.verify import T_ROWS_FROZEN
+from tests.reference import series_sqrt
 
 # brute-force confirmed by the three-route check of verify at n <= 7
 K_ROWS = [
@@ -100,6 +108,42 @@ def test_sqrt_requires_unit_constant():
         BivariateSeries.from_terms(3, [(1, 0, 1)]).sqrt()
 
 
+@pytest.mark.parametrize("arg", [_EVEN_SQRT_ARG, _ODD_SQRT_ARG])
+def test_sqrt_matches_self_convolution_on_named_arguments(arg):
+    d = BivariateSeries.from_terms(60, arg)
+    assert d.sqrt() == series_sqrt(d)
+
+
+def dense_unit_series(rng, order):
+    """1 + x a_1(y) + ... with row i of y-degree up to 2i+1, like the rows
+    of the named series."""
+    rows = [(1,)] + [
+        tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 2 * i + 2)))
+        for i in range(1, order + 1)
+    ]
+    return BivariateSeries(order, rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sqrt_of_a_dense_square_matches_self_convolution(seed):
+    a = dense_unit_series(random.Random(seed), 30)
+    square = a * a
+    assert square.sqrt() == a == series_sqrt(square)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sqrt_without_an_integer_root_raises_in_both_versions(seed):
+    rng = random.Random(seed)
+    a = dense_unit_series(rng, 12)
+    # the root of a^2 + c x^i is a + c x^i / (2a) + ..., inexact at row i
+    bumped = a * a + BivariateSeries.from_terms(12, [(rng.randint(1, 12), 0, 1)])
+    for d in (bumped, BivariateSeries.from_terms(12, [(0, 0, 1), (1, 1, 2)])):
+        with pytest.raises(ValueError, match="is not divisible by"):
+            d.sqrt()
+        with pytest.raises(ValueError, match="is not divisible by"):
+            series_sqrt(d)
+
+
 def test_division_requires_scalar_constant():
     one_plus_y = BivariateSeries.from_terms(3, [(0, 0, 1), (0, 1, 1)])
     with pytest.raises(ValueError):
@@ -127,15 +171,6 @@ def test_substitute_y_squared():
     assert t.coefficient(1, 1) == 0
 
 
-def test_truncate():
-    s = BivariateSeries.from_terms(5, [(4, 0, 1), (1, 1, 1)])
-    t = s.truncate(2)
-    assert t.order == 2
-    assert t.coefficient(1, 1) == 1
-    with pytest.raises(ValueError):
-        t.truncate(3)
-
-
 def test_catalan_generating_function():
     disc = BivariateSeries.from_terms(11, [(0, 0, 1), (1, 0, -4)])
     catalan = (1 - disc.sqrt()).div_x(1) / 2
@@ -156,9 +191,9 @@ def test_named_series_are_integral(name):
     # divided exactly at every step; a lower order is a truncation
     full = NamedSeries(30)[name]
     for order in (0, 1, 2, 5):
-        assert NamedSeries(order)[name] == full.truncate(order)
-    for i in range(31):
-        assert full.y_degree(i) <= 2 * i + 1
+        assert NamedSeries(order)[name] == BivariateSeries(order, full.coeffs[: order + 1])
+    for i, row in enumerate(full.coeffs):
+        assert len(row) - 1 <= 2 * i + 1
 
 
 def test_inexact_division_raises():
@@ -211,6 +246,12 @@ def test_named_series_validation():
         NamedSeries(4)["Z"]
     with pytest.raises(ValueError, match="order must be nonnegative"):
         NamedSeries(-1)
+
+
+def test_series_T_reads_no_other_series():
+    named = NamedSeries(20)
+    named["T"]
+    assert list(named) == ["T"]
 
 
 def test_v_series_is_one_plus_y_times_k_minus_one():
