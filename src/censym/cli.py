@@ -20,8 +20,8 @@ from .series import NAMED_SERIES, NamedSeries
 
 
 def _parse_pattern(text: str):
-    values = tuple(int(c) for c in text) if text.isdigit() else ()
-    if sorted(values) != list(range(1, len(values) + 1)):
+    values = tuple(map(int, text)) if text.isascii() and text.isdigit() else ()
+    if not values or sorted(values) != list(range(1, len(values) + 1)):
         raise ValueError(f"not a pattern: {text!r}")
     return values
 

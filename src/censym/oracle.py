@@ -18,11 +18,17 @@ the members come out in the same (lexicographic) order as an unpruned
 search.
 
 The search is one loop over an explicit stack, one frame per value of
-the half, and it yields each member as soon as it reaches its leaf.  For
-123 the cut needs no scan of the known words.  Each frame keeps two
+the half but the last, and it yields each member as soon as it reaches
+its leaf.  The mirror is kept next to the half, as a deque that gains
+m+1-v on the left when the half gains v, so a value v that ends the
+half is a leaf with no frame of its own: its word is the one tuple
+half + [v] + middle + [m+1-v] + mirror.
+
+For 123 the cut needs no scan of the known words.  Each frame keeps two
 numbers for its half: lo, the least value, and s, the least value that
 ends an ascent.  A new value v past s completes a 123; otherwise it
-lowers lo or s.  With m+1 = top, the known words contain 123 exactly when
+lowers lo or s, a leaf's value too, so a leaf meets the same cut.
+With m+1 = top, the known words contain 123 exactly when
 s < top - lo (an occurrence across the half and its mirror) or some x
 between them has x > s or lo < x < top - lo; the free values are sorted
 and closed under complement, so that is a test of two of them and the
@@ -37,7 +43,7 @@ _subclass_match), so this module imports nothing but perms.
 """
 
 import os
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 from math import inf
@@ -140,27 +146,29 @@ def _centro_members(length: int, avoid):
     flip = avoid == (3, 2, 1)  # 321 in v is 123 in top - v
     summaries = flip or avoid == (1, 2, 3)
 
-    def known_words_contain(half, free):
-        mirror = [top - w for w in reversed(half)]
-        return word_contains_pattern(half + middle + mirror, avoid) or any(
-            word_contains_pattern(half + [x] + mirror, avoid) for x in free
+    def known_words_contain(free):
+        return word_contains_pattern((*half, *middle, *mirror), avoid) or any(
+            word_contains_pattern((*half, x, *mirror), avoid) for x in free
         )
 
     half = []
+    mirror = deque()  # top - w for w in reversed(half)
     # a frame: the half's free values (sorted, closed under complement),
     # the index of the next one to try, and the half's two 123 summaries
     stack = [[[v for v in range(1, top) if v not in middle], 0, inf, inf]]
     while stack:
         frame = stack[-1]
         free, i, lo, s = frame
-        if i == len(free):
+        size = len(free)
+        if i == size:
             stack.pop()
             if stack:
                 half.pop()
+                mirror.popleft()
             continue
         frame[1] = i + 1
         v = free[i]
-        j = len(free) - 1 - i  # free[j] == top - v
+        j = size - 1 - i  # free[j] == top - v
         a, b = (i, j) if i < j else (j, i)  # indices of the pair's lower, upper value
         if summaries:
             u = top - v if flip else v
@@ -176,22 +184,25 @@ def _centro_members(length: int, avoid):
             # test the largest of them and the largest below top / 2
             if s < top - lo or (middle and lo < middle[0]):
                 continue
-            h = len(free) // 2
+            h = size // 2
             if h > 1 and (
                 free[-2 if a == 0 else -1] > s
                 or free[h - 2 if a == h - 1 else h - 1] > lo
             ):
                 continue
-        child = free[:a] + free[a + 1 : b] + free[b + 1 :]
-        half.append(v)
-        if not child:
-            word = half + middle + [top - w for w in reversed(half)]
+        if size == 2:  # v ends the half: a leaf
+            word = (*half, v, *middle, top - v, *mirror)
             if avoid is None or not word_contains_pattern(word, avoid):
                 yield Permutation._trusted(word)
-        elif avoid is None or summaries or not known_words_contain(half, child):
+            continue
+        child = free[:a] + free[a + 1 : b] + free[b + 1 :]
+        half.append(v)
+        mirror.appendleft(top - v)
+        if avoid is None or summaries or not known_words_contain(child):
             stack.append([child, 0, lo, s])
             continue
         half.pop()
+        mirror.popleft()
 
 
 def _general_members(length: int, avoid):

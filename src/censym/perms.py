@@ -8,7 +8,9 @@ every class here and anchors the recurrences at n = 0.
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from math import inf
+from operator import gt
 
 
 class InvalidPermutation(ValueError):
@@ -96,19 +98,20 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def is_centrosymmetric(p: Permutation) -> bool:
-    n = len(p)
-    return all(p.values[i] + p.values[n - 1 - i] == n + 1 for i in range(n))
+    """Is p its own reverse complement?"""
+    v = p.values
+    return v == tuple(map((len(v) + 1).__sub__, reversed(v)))
 
 
 def descent_set(p: Permutation) -> tuple:
     """Positions i with p(i) > p(i+1), 1-based."""
     v = p.values
-    return tuple(i for i in range(1, len(v)) if v[i - 1] > v[i])
+    return tuple(compress(range(1, len(v)), map(gt, v, v[1:])))
 
 
 def descent_count(p: Permutation) -> int:
     v = p.values
-    return sum(v[i - 1] > v[i] for i in range(1, len(v)))
+    return sum(map(gt, v, v[1:]))
 
 
 def _backtrack_contains(word: tuple, pattern: tuple) -> bool:
@@ -249,14 +252,14 @@ def right_connected_components(p: Permutation) -> tuple:
 
 
 def _require_even_centrosymmetric(p: Permutation):
-    if len(p) % 2 or not is_centrosymmetric(p):
+    if len(p.values) % 2 or not is_centrosymmetric(p):
         raise InvalidPermutation("not centrosymmetric of even length")
 
 
 def require_member(p: Permutation):
     """Check p is an even-length centrosymmetric 123-avoider."""
     _require_even_centrosymmetric(p)
-    if contains_pattern(p, (1, 2, 3)):
+    if word_contains_pattern(p.values, (1, 2, 3)):
         raise InvalidPermutation("contains the pattern 123")
 
 
@@ -282,8 +285,7 @@ def descents_from_half(p: Permutation) -> int:
     if n == 0:
         return 0
     w = p.values[:n]
-    d = sum(w[i] > w[i + 1] for i in range(n - 1))
-    return 2 * d + (1 if w[-1] > n else 0)
+    return 2 * sum(map(gt, w, w[1:])) + (w[-1] > n)
 
 
 def rank_within(word, alphabet) -> tuple:
@@ -403,10 +405,6 @@ class MinimaDecomposition:
     def lengths(self) -> tuple:
         """Block word lengths l_1 .. l_s."""
         return tuple(len(w) for _, w in self.blocks)
-
-    @property
-    def tiny_values(self) -> tuple:
-        return tuple(x for (x, _), t in zip(self.blocks, self.tiny_flags) if t)
 
 
 def minima_decomposition(p: Permutation) -> MinimaDecomposition:

@@ -18,6 +18,7 @@ The private y-polynomial kernel (`_padd`, `_pmul`, `_pshift`, ...) is the
 package's only polynomial arithmetic; `tables` runs its recurrences on it.
 """
 
+from functools import cached_property
 from itertools import chain, islice
 
 
@@ -282,19 +283,15 @@ def _series_E(order, named):
 
 
 def _series_V(order, named):
-    work = order + 1
-    root = BivariateSeries.from_terms(work, _EVEN_SQRT_ARG).sqrt()
-    num = (root - 1).div_x(1).div_y(2)
+    num = (named.even_root - 1).div_x(1).div_y(2)
     den = BivariateSeries.from_terms(order, [(0, 0, -2), (1, 0, -2), (1, 2, 2)])
     return num / den
 
 
 def _series_K(order, named):
-    work = order + 1
-    root = BivariateSeries.from_terms(work, _EVEN_SQRT_ARG).sqrt()
     num = BivariateSeries.from_terms(
-        work, [(0, 0, 1), (1, 2, -2), (2, 2, -2), (2, 4, 2)]
-    ) - root
+        order + 1, [(0, 0, 1), (1, 2, -2), (2, 2, -2), (2, 4, 2)]
+    ) - named.even_root
     num = num.div_x(1).div_y(3)
     den = BivariateSeries.from_terms(order, [(0, 0, 2), (1, 0, 2), (1, 2, -2)])
     return BivariateSeries.one(order) + num / den
@@ -313,8 +310,9 @@ def _series_T(order, named):
     # the printed T, a quotient in K, rationalized: with h = 1 + x - xy^2,
     # g = 1 - 2xy - 2xy^2 and R the even root,
     # T = ((1 - y)(2xy^3 - 2xy - 2y - 1) g + (1 + y) R) / (2 y^2 h g);
-    # verify checks it against the printed form
-    root = BivariateSeries.from_terms(order, _EVEN_SQRT_ARG).sqrt()
+    # verify checks it against the printed form; the root's extra order
+    # drops at the first sum
+    root = named.even_root
     poly = BivariateSeries.from_terms
     g = poly(order, [(0, 0, 1), (1, 1, -2), (1, 2, -2)])
     # (1 - y)(2xy^3 - 2xy - 2y - 1), expanded
@@ -362,6 +360,11 @@ class NamedSeries(dict):
             raise ValueError("order must be nonnegative")
         super().__init__()
         self.order = order
+
+    @cached_property
+    def even_root(self) -> BivariateSeries:
+        """The even root that V, K and T are written in, at order + 1."""
+        return BivariateSeries.from_terms(self.order + 1, _EVEN_SQRT_ARG).sqrt()
 
     def __missing__(self, name: str) -> BivariateSeries:
         if name not in _BUILDERS:

@@ -55,8 +55,11 @@ class Check:
     def tally(self, verdicts):
         """Count each verdict but a Whole one; keep the first failure."""
         for verdict in verdicts:
+            if not verdict:  # a pass; a Whole verdict is never empty
+                self.count += 1
+                continue
             self.count += not isinstance(verdict, Whole)
-            if verdict and self.passed:
+            if self.passed:
                 self.passed, self.detail = False, verdict
 
     def render(self) -> str:
@@ -152,8 +155,8 @@ def _count_132(m, members):
 
 def _mirror_descents(m, members):
     for p in members:
-        dset = set(perms.descent_set(p))
-        ok = all((m - i) in dset for i in dset)
+        d = perms.descent_set(p)
+        ok = d == tuple(map(m.__sub__, reversed(d)))
         yield "" if ok else f"asymmetric descent set for {p}"
 
 

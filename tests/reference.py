@@ -4,6 +4,7 @@ The library has no copy of these, so a test that uses one checks the
 library against an independent route.
 """
 
+import random
 from bisect import bisect_left
 from itertools import accumulate, permutations, product
 
@@ -41,21 +42,70 @@ def dyck_prefixes(length: int) -> list:
     ]
 
 
-def centro_avoiders(length: int, pattern) -> list:
+def centro_avoiders(length: int, pattern=None) -> list:
     """Value tuples of the centrosymmetric permutations of the length that
-    avoid 123 or 321, in lexicographic order, from every half choice with
-    no pruning.  A word avoids 321 when its complement avoids 123."""
+    avoid 123 or 321 (all of them for pattern None), in lexicographic
+    order, from every half choice with no pruning.  A word avoids 321 when
+    its complement avoids 123."""
     n, top = length // 2, length + 1
     middle = (n + 1,) if length % 2 else ()
-    flip = {(1, 2, 3): False, (3, 2, 1): True}[tuple(pattern)]
+    if pattern is not None:
+        flip = {(1, 2, 3): False, (3, 2, 1): True}[tuple(pattern)]
     out = []
     for half in permutations([v for v in range(1, top) if v not in middle], n):
         if len({min(v, top - v) for v in half}) < n:
             continue  # the half holds both values of a complement pair
         word = half + middle + tuple(top - v for v in reversed(half))
-        if lis_length([top - v for v in word] if flip else word) < 3:
+        if pattern is None or lis_length([top - v for v in word] if flip else word) < 3:
             out.append(word)
     return out
+
+
+# the perms statistics by index loops, a second route to each of them
+
+
+def centrosymmetric_by_pairs(values) -> bool:
+    n = len(values)
+    return all(values[i] + values[n - 1 - i] == n + 1 for i in range(n))
+
+
+def descent_set_by_index(values) -> tuple:
+    return tuple(i for i in range(1, len(values)) if values[i - 1] > values[i])
+
+
+def descent_count_by_index(values) -> int:
+    return sum(values[i - 1] > values[i] for i in range(1, len(values)))
+
+
+def descents_from_half_by_index(values) -> int:
+    """2 des(w) + [w(n) > n] for the first half w of a length-2n word."""
+    n = len(values) // 2
+    if n == 0:
+        return 0
+    w = values[:n]
+    d = sum(w[i] > w[i + 1] for i in range(n - 1))
+    return 2 * d + (1 if w[-1] > n else 0)
+
+
+def mirror_closed_by_set(descents, m) -> bool:
+    """Is the set of descent positions closed under i -> m - i?"""
+    dset = set(descents)
+    return all((m - i) in dset for i in dset)
+
+
+def statistic_words() -> list:
+    """All of C_m for m <= 10, then random words of lengths 0 to 30, most
+    of them not centrosymmetric."""
+    rng = random.Random(0)
+    words = [w for m in range(11) for w in centro_avoiders(m)]
+    for length in range(31):
+        words.extend(tuple(rng.sample(range(1, length + 1), length)) for _ in range(20))
+    return words
+
+
+def tiny_values(dec) -> tuple:
+    """The tiny minima of a MinimaDecomposition, in block order."""
+    return tuple(x for (x, _), t in zip(dec.blocks, dec.tiny_flags) if t)
 
 
 def right_components(values) -> tuple:

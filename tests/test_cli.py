@@ -312,6 +312,13 @@ def test_enumerate_bad_pattern(capsys):
     assert "not a pattern" in err
 
 
+def test_enumerate_non_digit_pattern(capsys):
+    code, out, err = run(capsys, "enumerate", "--len", "3", "--avoid", "12a")
+    assert code == 3
+    assert out == ""
+    assert "not a pattern: '12a'" in err
+
+
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--len", "12")
     assert code == 3

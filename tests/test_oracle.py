@@ -230,9 +230,14 @@ def test_oracle_imports_only_perms():
     assert internal == {"perms"}
 
 
-@pytest.mark.parametrize("pattern", [(1, 2, 3), (3, 2, 1)], ids=["123", "321"])
-def test_summary_search_equals_unpruned_reference(pattern):
-    for length in range(13):
+@pytest.mark.parametrize(
+    "pattern, lengths",
+    [((1, 2, 3), 13), ((3, 2, 1), 13), (None, 12)],
+    ids=["123", "321", "all"],
+)
+def test_summary_search_equals_unpruned_reference(pattern, lengths):
+    # with no pattern, every leaf is a member, in the order of its half
+    for length in range(lengths):
         spec = ClassSpec(length, centrosymmetric=True, avoid=pattern)
         got = [p.values for p in enumerate_class(spec)]
         assert got == centro_avoiders(length, pattern), (pattern, length)

@@ -13,6 +13,7 @@ from censym.perms import (
     contains_pattern,
     descent_count,
     descent_set,
+    descents_from_half,
     is_centrosymmetric,
     left_half_word,
     ltr_minima,
@@ -27,7 +28,18 @@ from censym.perms import (
 
 from censym.bijection import generate_c123_even
 from tests.paper import PHI_FIGURE
-from tests.reference import complement, lis_length, reverse, right_components
+from tests.reference import (
+    centrosymmetric_by_pairs,
+    complement,
+    descent_count_by_index,
+    descent_set_by_index,
+    descents_from_half_by_index,
+    lis_length,
+    reverse,
+    right_components,
+    statistic_words,
+    tiny_values,
+)
 
 perms_upto = lambda m: st.integers(1, m).flatmap(
     lambda k: st.permutations(range(1, k + 1))
@@ -175,6 +187,20 @@ def test_descent_set_mirror_symmetry(catalogue):
     assert catalogue(3, "mirror-symmetric descent sets").ok
 
 
+def test_statistics_match_their_index_loop_forms():
+    for values in statistic_words():
+        p = Permutation(values)
+        centro = centrosymmetric_by_pairs(values)
+        assert is_centrosymmetric(p) == centro, values
+        assert descent_set(p) == descent_set_by_index(values), values
+        assert descent_count(p) == descent_count_by_index(values), values
+        if centro and len(values) % 2 == 0:
+            assert descents_from_half(p) == descents_from_half_by_index(values), values
+        else:
+            with pytest.raises(InvalidPermutation):
+                descents_from_half(p)
+
+
 def test_rank_within_known_block():
     alphabet = (3, 4, 5, 7, 8, 9, 10, 12, 13, 14)
     assert rank_within((9, 7, 14, 13, 12), alphabet) == (6, 4, 10, 9, 8)
@@ -259,5 +285,5 @@ def test_stats_record():
     assert stats(Permutation((1, 2, 3)))["tiny_minima"] is None
     for n in range(6):
         for p in generate_c123_even(2 * n):
-            tiny = list(minima_decomposition(p).tiny_values)
+            tiny = list(tiny_values(minima_decomposition(p)))
             assert stats(p)["tiny_minima"] == tiny

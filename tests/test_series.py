@@ -254,6 +254,22 @@ def test_series_T_reads_no_other_series():
     assert list(named) == ["T"]
 
 
+def test_even_root_is_taken_once(monkeypatch):
+    roots = []
+    real_sqrt = BivariateSeries.sqrt
+
+    def counted(d):
+        roots.append(d.order)
+        return real_sqrt(d)
+
+    monkeypatch.setattr(BivariateSeries, "sqrt", counted)
+    named = NamedSeries(20)
+    for name in ("V", "K", "T"):
+        named[name]
+    assert roots == [21]
+    assert named["T"].order == 20
+
+
 def test_v_series_is_one_plus_y_times_k_minus_one():
     named = NamedSeries(40)
     v, k = named["V"], named["K"]

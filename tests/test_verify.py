@@ -8,7 +8,10 @@ import pytest
 import censym
 from censym import bijection, oracle, series, tables, verify
 from censym.oracle import ClassSpec
+from censym.perms import Permutation
 from censym.verify import CHECKS, run_suite
+
+from tests.reference import descent_set_by_index, mirror_closed_by_set, statistic_words
 
 
 @pytest.mark.parametrize("entry", CHECKS, ids=[entry[1] for entry in CHECKS])
@@ -16,6 +19,17 @@ def test_catalogue_entry_passes(entry, catalogue):
     report = catalogue(4, entry[1])
     assert report.ok
     assert report.checks[0].count > 0
+
+
+def test_mirror_check_matches_the_set_form():
+    # on any word, not only on members, so that failing verdicts are pinned too
+    for values in statistic_words():
+        p = Permutation(values)
+        m = len(values)
+        ok = mirror_closed_by_set(descent_set_by_index(values), m)
+        assert list(verify._mirror_descents(m, [p])) == [
+            "" if ok else f"asymmetric descent set for {p}"
+        ], values
 
 
 def test_each_domain_length_is_enumerated_once(monkeypatch):
