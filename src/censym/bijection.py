@@ -25,7 +25,7 @@ phi and phi_inverse take O(n) time and no recursion: a round trip at
 2n = 10^5 takes about 0.3 s on a 2-vCPU host.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import inf
 
 from .perms import (
@@ -43,33 +43,29 @@ from .perms import (
 from .paths import InvalidPath, LatticePath, enumerate_prefixes
 
 
-@dataclass(frozen=True)
-class PhiBlock:
+class PhiBlock(namedtuple("PhiBlock", "minimum word tiny emitted deleted")):
     """One minima-decomposition block together with its emitted steps.
 
+    minimum is the block's left-to-right minimum, word the tuple of values
+    after it, tiny whether the minimum is tiny, and emitted its U/D steps.
     deleted is the number of leading steps removed from the recursive
     remainder path at this block's level: k-l-1 when the block is not tiny
     and k-l-2 when it is, with k computed at that level.
     """
 
-    minimum: int
-    word: tuple
-    tiny: bool
-    emitted: str
-    deleted: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PhiTrace:
+class PhiTrace(namedtuple("PhiTrace", "blocks predicted_heights")):
     """Per-block emission record of phi; fragments concatenate to the path.
 
-    predicted_heights lists the closed-form pairs (height after the block's
-    first descent, height after the whole block); the formulas hold only
-    when no minimum is tiny, so the field is None otherwise.
+    blocks is a tuple of PhiBlock.  predicted_heights lists the closed-form
+    pairs (height after the block's first descent, height after the whole
+    block); the formulas hold only when no minimum is tiny, so the field is
+    None otherwise.
     """
 
-    blocks: tuple
-    predicted_heights: tuple | None
+    __slots__ = ()
 
     @property
     def path(self) -> LatticePath:

@@ -9,7 +9,6 @@ except that ``verify`` still exits 1 when a check failed.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -24,6 +23,12 @@ def _parse_pattern(text: str):
     if not values or sorted(values) != list(range(1, len(values) + 1)):
         raise ValueError(f"not a pattern: {text!r}")
     return values
+
+
+def _print_json(payload) -> None:
+    import json  # only here: a command that prints no JSON need not load it
+
+    print(json.dumps(payload))
 
 
 def _stdout_closed() -> None:
@@ -45,7 +50,7 @@ def _input_text(text: str) -> str:
 
 def _cmd_perm_stats(args) -> int:
     record = stats(parse_permutation(_input_text(args.perm)))
-    print(json.dumps(record))
+    _print_json(record)
     return 0
 
 
@@ -80,7 +85,7 @@ def _cmd_enumerate(args) -> int:
             "count": len(members),
             "members": [str(p) for p in members],
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     return 0
 
 
@@ -99,7 +104,7 @@ def _cmd_table(args) -> int:
                 for n in range(table.max_n + 1)
             ],
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     return 0
 
 
@@ -110,7 +115,7 @@ def _cmd_series(args) -> int:
         "order": args.order,
         "coeffs": [[str(c) for c in row] for row in series.coeffs],
     }
-    print(json.dumps(payload))
+    _print_json(payload)
     return 0
 
 

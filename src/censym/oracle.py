@@ -43,8 +43,7 @@ _subclass_match), so this module imports nothing but perms.
 """
 
 import os
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
 from itertools import permutations as _all_permutations
 from math import inf
 
@@ -85,22 +84,25 @@ def max_even_length() -> int:
     return length_cap(DEFAULT_MAX_EVEN_LENGTH)
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(
+    namedtuple(
+        "ClassSpec",
+        "length centrosymmetric avoid subclass",
+        defaults=(False, None, None),
+    )
+):
     """A permutation class to enumerate by brute force.
 
-    avoid is a pattern in one-line tuple form, e.g. (1, 2, 3).  subclass
-    refines the even centrosymmetric 123-avoiders by the shape of their
-    path image: 'k' Dyck paths, 'ck' elevated Dyck paths, 'g' elevated
-    proper prefixes, 'composite' the rest.
+    avoid is a pattern in one-line tuple form, e.g. (1, 2, 3), or None.
+    subclass refines the even centrosymmetric 123-avoiders by the shape of
+    their path image: 'k' Dyck paths, 'ck' elevated Dyck paths, 'g'
+    elevated proper prefixes, 'composite' the rest.
     """
 
-    length: int
-    centrosymmetric: bool = False
-    avoid: tuple | None = None
-    subclass: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.length < 0:
             raise ValueError("length must be nonnegative")
         if self.avoid is not None and not isinstance(self.avoid, tuple):
@@ -116,6 +118,7 @@ class ClassSpec:
                 raise ValueError(
                     "subclasses are defined for even centrosymmetric 123-avoiders"
                 )
+        return self
 
 
 def _check_cap(spec: ClassSpec):

@@ -7,7 +7,7 @@ elevated when it has no return or a single return at the last step.  The
 empty path counts as a Dyck path and is not elevated.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class InvalidPath(ValueError):
@@ -123,18 +123,18 @@ def path_stats(path: LatticePath) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class PathClassification:
+class PathClassification(
+    namedtuple("PathClassification", "is_dyck_path is_elevated split")
+):
     """Exactly one of: Dyck path, elevated proper prefix, or composite.
 
     Composite prefixes split at their last return into a nonempty Dyck path
-    followed by a nonempty elevated proper prefix.  Elevated Dyck paths are
-    Dyck paths with is_elevated set.
+    followed by a nonempty elevated proper prefix, the pair held in split
+    (None otherwise).  Elevated Dyck paths are Dyck paths with is_elevated
+    set.
     """
 
-    is_dyck_path: bool
-    is_elevated: bool
-    split: tuple | None  # (dyck_part, elevated_proper_part) when composite
+    __slots__ = ()
 
     @property
     def kind(self) -> str:

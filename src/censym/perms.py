@@ -6,8 +6,7 @@ invariant under a half-turn.  The empty permutation is a valid member of
 every class here and anchors the recurrences at n = 0.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from itertools import compress
 from math import inf
 from operator import gt
@@ -86,14 +85,16 @@ def parse_permutation(text: str) -> Permutation:
     True
     """
     tokens = text.replace(",", " ").split()
-    values = []
-    for pos, tok in enumerate(tokens, start=1):
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise InvalidPermutation(
-                f"non-integer token {tok!r} at position {pos}"
-            ) from None
+    try:
+        values = tuple(map(int, tokens))
+    except ValueError:  # name the first token that is not an int
+        for pos, tok in enumerate(tokens, start=1):
+            try:
+                int(tok)
+            except ValueError:
+                raise InvalidPermutation(
+                    f"non-integer token {tok!r} at position {pos}"
+                ) from None
     return Permutation(values)
 
 
@@ -383,28 +384,19 @@ def _walk_blocks(w):
         i = j
 
 
-@dataclass(frozen=True)
-class MinimaDecomposition:
+class MinimaDecomposition(namedtuple("MinimaDecomposition", "blocks tiny_flags")):
     """Left-to-right minima split of the first half of a 123-avoiding member.
 
     The half word factors as x_1 w_1 x_2 w_2 ... x_s w_s where the x_i are
     the left-to-right minima.  Alphabet A_0 = {1..2n}; A_i removes from
     A_{i-1} the pair {x_i, 2n+1-x_i} and the entries of w_i together with
     their complements.  The minimum x_i is "tiny" when it equals the lower
-    median of A_{i-1}; once a minimum is tiny all later ones are.
+    median of A_{i-1}; once a minimum is tiny all later ones are.  blocks
+    is ((x_1, w_1), ...) with each w_i a tuple of values, and tiny_flags
+    holds one flag per block.
     """
 
-    blocks: tuple  # ((x_i, w_i), ...) with w_i a tuple of values
-    tiny_flags: tuple
-
-    @property
-    def minima(self) -> tuple:
-        return tuple(x for x, _ in self.blocks)
-
-    @property
-    def lengths(self) -> tuple:
-        """Block word lengths l_1 .. l_s."""
-        return tuple(len(w) for _, w in self.blocks)
+    __slots__ = ()
 
 
 def minima_decomposition(p: Permutation) -> MinimaDecomposition:

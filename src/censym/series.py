@@ -19,7 +19,8 @@ package's only polynomial arithmetic; `tables` runs its recurrences on it.
 """
 
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, starmap, zip_longest
+from operator import add, sub
 
 
 def _int(c):
@@ -45,11 +46,11 @@ def _trim(poly):
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    )
+    return _trim(starmap(add, zip_longest(a, b, fillvalue=0)))
+
+
+def _psub(a, b):
+    return _trim(starmap(sub, zip_longest(a, b, fillvalue=0)))
 
 
 def _pneg(a):
@@ -207,7 +208,7 @@ class BivariateSeries:
         quotient = []
         for i in range(order + 1):
             known = _pdot(other.coeffs[1 : i + 1], reversed(quotient))
-            acc = _padd(self.coeffs[i], _pneg(known))
+            acc = _psub(self.coeffs[i], known)
             quotient.append(tuple(_div(c, c0) for c in acc))
         return BivariateSeries(order, quotient)
 

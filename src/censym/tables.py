@@ -22,12 +22,12 @@ empty-path cells of CK and S), the mismatch is a paper discrepancy rather
 than a failure.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from . import oracle
 from .perms import descent_count
-from .series import NamedSeries, _padd, _pdot, _pmul, _pneg, _pshift, _trim
+from .series import NamedSeries, _padd, _pdot, _pmul, _pshift, _psub, _trim
 
 # family: (its named series, length offset, pattern); its members of size
 # n are in C_2n+offset(pattern), and k, ck and g are subclasses of C_2n(123)
@@ -43,12 +43,10 @@ _FAMILY_ROUTES = {
 FAMILIES = tuple(_FAMILY_ROUTES)
 
 
-@dataclass(frozen=True)
-class DescentTable:
+class DescentTable(namedtuple("DescentTable", "family rows")):
     """Rows of descent counts: rows[n][d] members with d descents."""
 
-    family: str
-    rows: tuple
+    __slots__ = ()
 
     @property
     def max_n(self) -> int:
@@ -127,7 +125,7 @@ def _tables_g_t(k, max_n):
     g = [(), (1,)]
     t = [(1,), (1, 1)]
     for n in range(2, max_n + 1):
-        g.append(_padd(_pmul((0, 1, 1), t[n - 1]), _pneg(_pshift(k[n - 1], 2))))
+        g.append(_psub(_pmul((0, 1, 1), t[n - 1]), _pshift(k[n - 1], 2)))
         split = _pdot(g[1:n], reversed(k[1:n]))
         t.append(_padd(_padd(g[n], k[n]), _pshift(split, 1)))
     return g, t

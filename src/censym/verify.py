@@ -18,7 +18,6 @@ yield verdicts too.
 """
 
 import random
-from dataclasses import dataclass, field
 from math import comb, factorial
 
 from . import bijection, oracle, paths, perms, tables
@@ -45,12 +44,13 @@ class Whole(str):
     """A failure of a whole group rather than of one case: it adds no count."""
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    count: int = 0
-    detail: str = ""
+    """One invariant's tally: cases counted, and the first failure's detail."""
+
+    __slots__ = ("name", "passed", "count", "detail")
+
+    def __init__(self, name, passed, count=0, detail=""):
+        self.name, self.passed, self.count, self.detail = name, passed, count, detail
 
     def tally(self, verdicts):
         """Count each verdict but a Whole one; keep the first failure."""
@@ -69,12 +69,15 @@ class Check:
         return line
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    max_n: int
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    """The checks of one suite and its paper discrepancy notes."""
+
+    __slots__ = ("suite", "max_n", "checks", "notes")
+
+    def __init__(self, suite, max_n, checks=None, notes=None):
+        self.suite, self.max_n = suite, max_n
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:

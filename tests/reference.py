@@ -9,7 +9,7 @@ from bisect import bisect_left
 from itertools import accumulate, permutations, product
 
 from censym.perms import Permutation
-from censym.series import BivariateSeries, _div, _padd, _pdot, _pneg
+from censym.series import BivariateSeries, _div, _pdot, _pneg, _trim
 
 
 def lis_length(seq) -> int:
@@ -108,6 +108,16 @@ def tiny_values(dec) -> tuple:
     return tuple(x for (x, _), t in zip(dec.blocks, dec.tiny_flags) if t)
 
 
+def minima(dec) -> tuple:
+    """The left-to-right minima x_i of a MinimaDecomposition."""
+    return tuple(x for x, _ in dec.blocks)
+
+
+def block_lengths(dec) -> tuple:
+    """The block word lengths l_1 .. l_s of a MinimaDecomposition."""
+    return tuple(len(w) for _, w in dec.blocks)
+
+
 def right_components(values) -> tuple:
     """Right connected components as 1-based (start, end) pairs: the
     connected components of the reversed word (intervals I it maps onto
@@ -148,6 +158,15 @@ def c132_recursive(n: int) -> list:
     return out
 
 
+def padd_by_index(a, b) -> tuple:
+    """The sum of two y-polynomials, one index at a time, trimmed."""
+    n = max(len(a), len(b))
+    return _trim(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+        for i in range(n)
+    )
+
+
 def series_sqrt(d: BivariateSeries) -> BivariateSeries:
     """Square root of a series with constant term exactly 1, by convolving
     the root with itself: r_n = (d_n - sum_{0<i<n} r_i r_{n-i}) / 2."""
@@ -156,6 +175,6 @@ def series_sqrt(d: BivariateSeries) -> BivariateSeries:
     root = [(1,)]
     for i in range(1, d.order + 1):
         known = _pdot(root[1:i], reversed(root[1:i]))
-        acc = _padd(d.coeffs[i], _pneg(known))
+        acc = padd_by_index(d.coeffs[i], _pneg(known))
         root.append(tuple(_div(c, 2) for c in acc))
     return BivariateSeries(d.order, root)

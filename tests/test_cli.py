@@ -544,6 +544,27 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.endswith("all suites passed\n")
 
 
+def test_cli_start_up_loads_no_dataclasses_inspect_or_json():
+    # the interpreter's own start-up may load any of them; censym adds none
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys; before = set(sys.modules)\n"
+        "import censym.cli; censym.cli.build_parser()\n"
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "censym.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}
+
+
 def run_piped(script, read_lines):
     """Run a CLI script in a fresh interpreter whose stdout reader takes
     read_lines lines and then closes the pipe (at once for 0, before the

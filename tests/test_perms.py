@@ -33,8 +33,10 @@ from tests.reference import (
     complement,
     descent_count_by_index,
     descent_set_by_index,
+    block_lengths,
     descents_from_half_by_index,
     lis_length,
+    minima,
     reverse,
     right_components,
     statistic_words,
@@ -61,8 +63,15 @@ def test_parse_accepts_spaces_and_commas():
     assert parse_permutation("2 1 4 3") == Permutation((2, 1, 4, 3))
     assert parse_permutation("2,1,4,3") == Permutation((2, 1, 4, 3))
     assert parse_permutation("2, 1, 4, 3") == Permutation((2, 1, 4, 3))
-    with pytest.raises(InvalidPermutation):
-        parse_permutation("2 1 x")
+    first_bad = {
+        "2 1 x": "'x' at position 3",
+        "x,1": "'x' at position 1",
+        "1, 2 3.0 y": "'3.0' at position 3",
+    }
+    for text, token in first_bad.items():
+        with pytest.raises(InvalidPermutation) as caught:
+            parse_permutation(text)
+        assert str(caught.value) == f"non-integer token {token}"
 
 
 def test_str_round_trip():
@@ -233,8 +242,8 @@ def lower_median(alphabet):
 def test_minima_decomposition_of_figure_member():
     p = parse_permutation(PHI_FIGURE[0])
     dec = minima_decomposition(p)
-    assert dec.minima == (11, 9, 7)
-    assert dec.lengths == (2, 0, 3)
+    assert minima(dec) == (11, 9, 7)
+    assert block_lengths(dec) == (2, 0, 3)
     assert dec.tiny_flags == (False, False, True)
     alphabets = paper_alphabets(p)
     assert alphabets[0] == tuple(range(1, 17))
@@ -247,7 +256,7 @@ def test_tiny_flags_are_lower_medians():
         for p in generate_c123_even(2 * n):
             dec = minima_decomposition(p)
             medians = map(lower_median, paper_alphabets(p))
-            assert dec.tiny_flags == tuple(x == m for x, m in zip(dec.minima, medians))
+            assert dec.tiny_flags == tuple(x == m for x, m in zip(minima(dec), medians))
 
 
 def test_walk_ranks_match_the_alphabets():

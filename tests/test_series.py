@@ -16,6 +16,9 @@ from censym.series import (
     BivariateSeries,
     NAMED_SERIES,
     NamedSeries,
+    _padd,
+    _pneg,
+    _psub,
 )
 from censym.tables import (
     FAMILIES,
@@ -24,7 +27,7 @@ from censym.tables import (
     table_to_csv,
 )
 from censym.verify import T_ROWS_FROZEN
-from tests.reference import series_sqrt
+from tests.reference import padd_by_index, series_sqrt
 
 # brute-force confirmed by the three-route check of verify at n <= 7
 K_ROWS = [
@@ -229,16 +232,53 @@ def test_non_int_coefficients_are_refused():
         BivariateSeries.from_terms(1, [(0, 0, True)])
 
 
+def modules_importing(name) -> list:
+    """The package's module files that import the named module."""
+    package = Path(censym.series.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == name:
+                found.append(path.name)
+            elif isinstance(node, ast.Import) and any(a.name == name for a in node.names):
+                found.append(path.name)
+    return found
+
+
 def test_no_module_imports_fractions():
     # every coefficient is an int, so the package has no use for Fraction
-    package = Path(censym.series.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                assert node.module != "fractions", path.name
-            elif isinstance(node, ast.Import):
-                assert all(a.name != "fractions" for a in node.names), path.name
+    assert modules_importing("fractions") == []
+
+
+def test_no_module_imports_dataclasses():
+    # it loads inspect, ast and dis, a third of every censym start-up;
+    # the records are namedtuple subclasses or __slots__ classes instead
+    assert modules_importing("dataclasses") == []
+
+
+def test_kernel_sum_and_difference_match_the_index_loop():
+    # random y-polynomials, some with trailing zeros, and pairs whose sum
+    # or difference cancels to ()
+    rng = random.Random(0)
+    polys = [()]
+    for _ in range(300):
+        bound = rng.choice((2, 10**30))
+        poly = tuple(rng.randint(-bound, bound) for _ in range(rng.randint(1, 9)))
+        polys.append(poly + (0,) * rng.randint(0, 2))
+    pairs = list(zip(polys, rng.sample(polys, len(polys))))
+    pairs += [(a, a) for a in polys] + [(a, _pneg(a)) for a in polys]
+    # only the first coefficient may survive: the rest cancel and are trimmed
+    pairs += [(a, b[:1] + _pneg(a[1:])) for a, b in zip(polys, polys[1:])]
+    pairs += [(a, b[:1] + a[1:]) for a, b in zip(polys, polys[1:])]
+    cancelled = 0
+    for a, b in pairs:
+        total, difference = _padd(a, b), _psub(a, b)
+        assert total == padd_by_index(a, b)
+        assert difference == padd_by_index(a, _pneg(b))
+        assert type(total) is type(difference) is tuple
+        assert all(type(c) is int for c in total + difference)
+        cancelled += total == () or difference == ()
+    assert cancelled > len(polys)
 
 
 def test_named_series_validation():
@@ -389,7 +429,9 @@ def test_table_csv_layout():
 def test_recurrences_never_read_a_closed_form():
     # tables takes the y-polynomial kernel and NamedSeries from series,
     # and only _series_rows touches NamedSeries
-    kernel = {"_trim", "_padd", "_pneg", "_pdot", "_pmul", "_pscale", "_pshift", "_pdiv_y"}
+    kernel = {
+        "_trim", "_padd", "_psub", "_pneg", "_pdot", "_pmul", "_pscale", "_pshift", "_pdiv_y"
+    }
     assert kernel <= set(vars(censym.series))
     tree = ast.parse(Path(censym.tables.__file__).read_text(encoding="utf-8"))
     taken = set()
