@@ -9,7 +9,7 @@ from bisect import bisect_left
 from itertools import accumulate, permutations, product
 
 from censym.perms import Permutation
-from censym.series import BivariateSeries, _div, _pdot, _pneg, _trim
+from censym.series import BivariateSeries, _div, _pneg, _trim
 
 
 def lis_length(seq) -> int:
@@ -167,6 +167,20 @@ def padd_by_index(a, b) -> tuple:
     )
 
 
+def pdot_by_index(a, b) -> tuple:
+    """The sum of p * q over the pairs (p, q) of zip(a, b), each product
+    by the dense double loop over coefficient indices, trimmed."""
+    out = []
+    for p, q in zip(a, b):
+        if p and q:
+            out += [0] * (len(p) + len(q) - 1 - len(out))
+            for i, cp in enumerate(p):
+                if cp:
+                    for j, cq in enumerate(q):
+                        out[i + j] += cp * cq
+    return _trim(out)
+
+
 def series_sqrt(d: BivariateSeries) -> BivariateSeries:
     """Square root of a series with constant term exactly 1, by convolving
     the root with itself: r_n = (d_n - sum_{0<i<n} r_i r_{n-i}) / 2."""
@@ -174,7 +188,7 @@ def series_sqrt(d: BivariateSeries) -> BivariateSeries:
         raise ValueError("constant term must be 1")
     root = [(1,)]
     for i in range(1, d.order + 1):
-        known = _pdot(root[1:i], reversed(root[1:i]))
+        known = pdot_by_index(root[1:i], reversed(root[1:i]))
         acc = padd_by_index(d.coeffs[i], _pneg(known))
         root.append(tuple(_div(c, 2) for c in acc))
     return BivariateSeries(d.order, root)

@@ -544,8 +544,9 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.endswith("all suites passed\n")
 
 
-def test_cli_start_up_loads_no_dataclasses_inspect_or_json():
-    # the interpreter's own start-up may load any of them; censym adds none
+def start_up_modules(*flags):
+    """The modules that `import censym.cli` and `build_parser()` add to a
+    fresh interpreter started with the flags."""
     src = Path(cli.__file__).resolve().parents[1]
     script = (
         "import sys; before = set(sys.modules)\n"
@@ -553,7 +554,7 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_json():
         "print(*sorted(set(sys.modules) - before))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -562,7 +563,18 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_json():
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "censym.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "json"}
+    return loaded
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_json():
+    # the interpreter's own start-up may load any of them; censym adds none
+    assert not start_up_modules() & {"dataclasses", "inspect", "json"}
+
+
+def test_cli_start_up_loads_no_random():
+    # site may load random before censym is imported, which would hide it
+    # from a plain start-up; -S loads no site
+    assert "random" not in start_up_modules("-S")
 
 
 def run_piped(script, read_lines):

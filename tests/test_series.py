@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -17,6 +18,7 @@ from censym.series import (
     NAMED_SERIES,
     NamedSeries,
     _padd,
+    _pdot,
     _pneg,
     _psub,
 )
@@ -27,7 +29,7 @@ from censym.tables import (
     table_to_csv,
 )
 from censym.verify import T_ROWS_FROZEN
-from tests.reference import padd_by_index, series_sqrt
+from tests.reference import padd_by_index, pdot_by_index, series_sqrt
 
 # brute-force confirmed by the three-route check of verify at n <= 7
 K_ROWS = [
@@ -279,6 +281,64 @@ def test_kernel_sum_and_difference_match_the_index_loop():
         assert all(type(c) is int for c in total + difference)
         cancelled += total == () or difference == ()
     assert cancelled > len(polys)
+
+
+def kernel_row(rng):
+    """A random y-polynomial shaped like a table row: maybe empty, maybe
+    with leading zeros, interior zeros (odd degrees only, as in k) and
+    trailing zeros, with coefficients of either sign up to 10**30."""
+    if rng.random() < 0.1:
+        return ()
+    bound = rng.choice((3, 10**30))
+    lead = rng.choice((0, 0, rng.randint(1, 12)))
+    body = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 12))]
+    if rng.random() < 0.3:
+        body[::2] = [0] * len(body[::2])
+    elif rng.random() < 0.5:
+        body = [c if rng.random() < 0.5 else 0 for c in body]
+    return (0,) * lead + tuple(body) + (0,) * rng.randint(0, 2)
+
+
+def test_kernel_dot_matches_the_index_loop():
+    # sums of several row products of unequal lengths, some whose pairs
+    # cancel to (), against the dense double loop
+    rng = random.Random(0)
+    cancelled = 0
+    for _ in range(400):
+        a = [kernel_row(rng) for _ in range(rng.randint(0, 6))]
+        b = [kernel_row(rng) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.3:
+            # the sum of the products p q and q (-p) cancels
+            a, b = a[: len(b)], b[: len(a)]
+            a, b = a + b, b + [_pneg(p) for p in a]
+        dot = _pdot(a, b)
+        assert dot == pdot_by_index(a, b)
+        assert type(dot) is tuple and all(type(c) is int for c in dot)
+        assert not dot or dot[-1]
+        cancelled += dot == () and any(p and q for p, q in zip(a, b))
+    assert cancelled > 20
+
+
+# sha256 of table_to_csv of each recurrence table at n = 60, frozen from
+# the dense kernel that multiplied every pair of coefficients
+RECURRENCE_CSV_SHA256 = {
+    "q": "2f6ba4e7039301423052cf04c1d6cc471378962e889a8cce271cac9997895dd8",
+    "r": "5a0570a57e5f3ccc840a2aec302902147d25cbc74f593fc60011bc33f5db4056",
+    "v": "ea1a45634f1a47321c965e3ee656f083d86401c3562b63e09f6f6bcbca005a03",
+    "k": "6b568d9f8360e88eaa03bed87aee37a0dc271d545d639b3422be82d51f75cb45",
+    "ck": "02fc9a5612cc142e6f1e1ce15a416b791d59c4129c758661624b2afb866a1a62",
+    "g": "10d3465be1d8e6536e44b411ecbad25bc1f9a85a67d342b648aff948a366695d",
+    "t": "762e0441e726d13b1bcafbf8657505be34034d03a9f37ed3de36a18a14d085a0",
+}
+
+
+def test_recurrence_tables_match_frozen_digests():
+    built = descent_tables("recurrence", FAMILIES, 60)
+    digests = {
+        f: hashlib.sha256(table_to_csv(t).encode()).hexdigest()
+        for f, t in built.items()
+    }
+    assert digests == RECURRENCE_CSV_SHA256
 
 
 def test_named_series_validation():
