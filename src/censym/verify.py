@@ -5,16 +5,18 @@ the tests run through ``run_checks``; reports give per-check counts with
 the first counterexample on failure.  Known printed-form discrepancies
 are listed separately and never fail a run.
 
-An entry is (suite, name, domain, check).  A domain enumerates one
-exhaustive member set, such as all of C_m or the Dyck prefixes: given
-the size bound and the even length where enumeration stops, it yields
-one (size, members) group per length.  A check takes one group and
-yields one verdict per case: "" when the case holds, the counterexample
-when it does not.  A ``Whole`` verdict fails the group as a whole and
-counts no case.  ``run_checks`` walks each domain once per run, one
-length at a time, and hands every group to each selected check on that
-domain.  The series checks have no domain: they take the whole run and
-yield verdicts too.
+An entry is (suite, name, domain, check).  A domain is given the size
+bound, the even length where enumeration stops and the seed, and yields
+(size, group) pairs.  A member domain, such as all of C_m or the Dyck
+prefixes, yields one group of members per length; ``_routes`` yields one
+group of every family's table by each route, and ``_run`` one group of
+the run's cap and seed for the checks that build their own inputs.  A
+check takes one group and yields one verdict per case: "" when the case
+holds, the counterexample when it does not.  A ``Whole`` verdict fails
+the group as a whole and counts no case; a ``Note`` verdict is a passing
+case that records a known paper discrepancy.  ``run_checks`` walks each
+domain once per run, one group at a time, and hands every group to each
+selected check on that domain.
 """
 
 from math import comb, factorial
@@ -43,6 +45,10 @@ class Whole(str):
     """A failure of a whole group rather than of one case: it adds no count."""
 
 
+class Note(str):
+    """A passing case that a known paper discrepancy explains."""
+
+
 class Check:
     """One invariant's tally: cases counted, and the first failure's detail."""
 
@@ -51,14 +57,17 @@ class Check:
     def __init__(self, name, passed, count=0, detail=""):
         self.name, self.passed, self.count, self.detail = name, passed, count, detail
 
-    def tally(self, verdicts):
-        """Count each verdict but a Whole one; keep the first failure."""
+    def tally(self, verdicts, notes):
+        """Count each verdict but a Whole one; keep the first failure and
+        append each Note to notes."""
         for verdict in verdicts:
-            if not verdict:  # a pass; a Whole verdict is never empty
+            if not verdict:  # a pass; a Whole or Note verdict is never empty
                 self.count += 1
                 continue
             self.count += not isinstance(verdict, Whole)
-            if self.passed:
+            if isinstance(verdict, Note):
+                notes.append(verdict)
+            elif self.passed:
                 self.passed, self.detail = False, verdict
 
     def render(self) -> str:
@@ -98,41 +107,52 @@ def _oracle_members(length, **spec):
     return list(oracle.enumerate_class(oracle.ClassSpec(length, **spec)))
 
 
-def _centro(max_n, cap):
+def _centro(max_n, cap, seed):
     """All of C_m."""
     for m in range(min(2 * max_n, cap) + 1):
         yield m, _oracle_members(m, centrosymmetric=True)
 
 
-def _c123(max_n, cap):
+def _c123(max_n, cap, seed):
     """C_2n(123) as the preimages of the Dyck prefixes under phi."""
     for n in range(min(max_n, cap // 2) + 1):
         yield 2 * n, list(bijection.generate_c123_even(2 * n))
 
 
-def _c123_oracle(max_n, cap):
+def _c123_oracle(max_n, cap, seed):
     """C_2n(123) by brute force."""
     for n in range(min(max_n, cap // 2) + 1):
         yield 2 * n, _oracle_members(2 * n, centrosymmetric=True, avoid=(1, 2, 3))
 
 
-def _c132(max_n, cap):
+def _c132(max_n, cap, seed):
     """C_m(132) by brute force."""
     for m in range(2 * min(max_n, cap // 2) + 1):
         yield m, _oracle_members(m, centrosymmetric=True, avoid=(1, 3, 2))
 
 
-def _prefixes(max_n, cap):
+def _prefixes(max_n, cap, seed):
     """The Dyck prefixes of length 2n."""
     for n in range(min(max_n, cap // 2) + 1):
         yield 2 * n, list(paths.enumerate_prefixes(2 * n))
 
 
-def _s123(max_n, cap):
+def _s123(max_n, cap, seed):
     """S_m(123), with the odd class C_2m+1(123) it should lift onto."""
     for m in range(min(max_n, oracle.GENERAL_MAX_LENGTH - 1, cap // 2) + 1):
         odd = _oracle_members(2 * m + 1, centrosymmetric=True, avoid=(1, 2, 3))
         yield m, (_oracle_members(m, avoid=(1, 2, 3)), {p.values for p in odd})
+
+
+def _routes(max_n, cap, seed):
+    """Every family's table by each route; the oracle's stop at n = cap // 2."""
+    sizes = (("recurrence", max_n), ("series", max_n), ("oracle", min(max_n, cap // 2)))
+    yield max_n, [tables.descent_tables(s, tables.FAMILIES, m) for s, m in sizes]
+
+
+def _run(max_n, cap, seed):
+    """The run's cap and seed, for the checks that build their own inputs."""
+    yield max_n, (cap, seed)
 
 
 def _centro_count(m, members):
@@ -344,21 +364,14 @@ def _generator_132(m, members):
     yield "" if ok else f"132 generator mismatch at length {m}"
 
 
-# series checks take (max_n, cap, seed, notes); notes collects expected
-# paper discrepancies
+def _t_rows(max_n, routes):
+    rows = routes[0]["t"].rows
+    for n in range(min(max_n, len(T_ROWS_FROZEN) - 1) + 1):
+        yield "" if rows[n] == T_ROWS_FROZEN[n] else f"t row {n} = {rows[n]}"
 
 
-def _t_rows(max_n, cap, seed, notes):
-    # only the frozen rows are compared, so t is built through them alone
-    top = min(max_n, len(T_ROWS_FROZEN) - 1)
-    t_table = tables.descent_tables("recurrence", ("t",), top)["t"]
-    for n in range(top + 1):
-        ok = tuple(t_table.rows[n]) == tables._trim_row(T_ROWS_FROZEN[n])
-        yield "" if ok else f"t row {n} = {t_table.rows[n]}"
-
-
-def _row_sums(max_n, cap, seed, notes):
-    rec = tables.descent_tables("recurrence", ("t", "q", "v"), max_n)
+def _row_sums(max_n, routes):
+    rec = routes[0]
     for n in range(max_n + 1):
         row_sum = sum(rec["t"].rows[n])
         yield "" if row_sum == comb(2 * n, n) else f"t row {n} sums to {row_sum}"
@@ -372,23 +385,20 @@ def _row_sums(max_n, cap, seed, notes):
         yield f"v row {n} nonzero at d = {bad[0]}" if bad else ""
 
 
-def _three_routes(max_n, cap, seed, notes):
-    # every table cell against the oracle (through n = cap // 2) and the
-    # series; a series mismatch on a known discrepancy is a note
-    oracle_max_n = min(max_n, cap // 2)
-    sizes = (("recurrence", max_n), ("series", max_n), ("oracle", oracle_max_n))
-    routes = [tables.descent_tables(s, tables.FAMILIES, m) for s, m in sizes]
+def _three_routes(max_n, routes):
+    # every table cell against the oracle (through its own max n) and the
+    # series; a series mismatch on a known discrepancy is a Note
     for family in tables.FAMILIES:
         table, ser, orc = (route[family] for route in routes)
         for n in range(max_n + 1):
             width = max(
                 len(table.rows[n]),
                 len(ser.rows[n]),
-                len(orc.rows[n]) if n <= oracle_max_n else 0,
+                len(orc.rows[n]) if n <= orc.max_n else 0,
             )
             for d in range(width):
                 want = table.cell(n, d)
-                if n <= oracle_max_n:
+                if n <= orc.max_n:
                     got = orc.cell(n, d)
                     yield "" if got == want else (
                         f"{family}[{n}][{d}]: table {want} vs oracle {got}"
@@ -399,11 +409,7 @@ def _three_routes(max_n, cap, seed, notes):
                     continue
                 message = f"{family}[{n}][{d}]: table {want} vs series {got}"
                 reason = tables.known_series_discrepancy(family, n, d)
-                if reason is None:
-                    yield message
-                else:
-                    notes.append(f"{message} ({reason})")
-                    yield ""
+                yield message if reason is None else Note(f"{message} ({reason})")
 
 
 def _random_integral_series(rng, order):
@@ -417,9 +423,10 @@ def _random_integral_series(rng, order):
     )
 
 
-def _series_arithmetic(max_n, cap, seed, notes):
+def _series_arithmetic(max_n, run):
     import random  # only here: importing it slows every start-up
 
+    _, seed = run
     rng = random.Random(seed)
     # the round trips do not depend on the order, so it stops at 10
     order = min(max(max_n, 2), 10)
@@ -434,10 +441,10 @@ def _series_arithmetic(max_n, cap, seed, notes):
         yield "" if ok else f"sqrt(a^2) != a (trial {trial})"
 
 
-def _catalan_series(max_n, cap, seed, notes):
+def _catalan_series(max_n, run):
     disc = BivariateSeries.from_terms(max(max_n, 2), [(0, 0, 1), (1, 0, -4)])
     catalan = (1 - disc.sqrt()).div_x(1) / 2
-    for m, prefixes in _prefixes(min(catalan.order, 10), cap):
+    for m, prefixes in _prefixes(min(catalan.order, 10), *run):
         n = m // 2
         coeff = catalan.coefficient(n, 0)
         counted = sum(1 for p in prefixes if p.is_dyck_path)
@@ -445,7 +452,7 @@ def _catalan_series(max_n, cap, seed, notes):
         yield "" if ok else f"Catalan coefficient {n} = {coeff}"
 
 
-def _series_identities(max_n, cap, seed, notes):
+def _series_identities(max_n, run):
     order = max(max_n, 2)
     named = NamedSeries(order)
     v, k, ck, s, t = (named[name] for name in ("V", "K", "CK", "S", "T"))
@@ -527,34 +534,31 @@ CHECKS = (
      _odd_123),
     ("bijection", "132 structural generator matches brute force", _c132,
      _generator_132),
-    ("series", "t table matches the published rows", None, _t_rows),
-    ("series", "row sums and parity constraints", None, _row_sums),
-    ("series", "recurrence vs series vs brute force, all families", None,
+    ("series", "t table matches the published rows", _routes, _t_rows),
+    ("series", "row sums and parity constraints", _routes, _row_sums),
+    ("series", "recurrence vs series vs brute force, all families", _routes,
      _three_routes),
-    ("series", "series arithmetic round trips (randomized)", None,
+    ("series", "series arithmetic round trips (randomized)", _run,
      _series_arithmetic),
-    ("series", "generating function for Dyck path counts", None, _catalan_series),
-    ("series", "named series identities", None, _series_identities),
+    ("series", "generating function for Dyck path counts", _run, _catalan_series),
+    ("series", "named series identities", _run, _series_identities),
 )
 
 
 def run_checks(entries, max_n, cap, seed, reports):
     """Append the Check of each catalogue entry to reports[its suite].
 
-    Each domain of the entries is walked once, one length at a time, and
+    Each domain of the entries is walked once, one group at a time, and
     every group goes to each entry on that domain.
     """
     checks = {entry: Check(entry[1], True) for entry in entries}
-    for domain in dict.fromkeys(entry[2] for entry in entries if entry[2]):
+    for domain in dict.fromkeys(entry[2] for entry in entries):
         on_domain = [entry for entry in entries if entry[2] is domain]
-        for size, members in domain(max_n, cap):
+        for size, group in domain(max_n, cap, seed):
             for entry in on_domain:
-                checks[entry].tally(entry[3](size, members))
+                checks[entry].tally(entry[3](size, group), reports[entry[0]].notes)
     for entry in entries:
-        suite, _, domain, fn = entry
-        if domain is None:
-            checks[entry].tally(fn(max_n, cap, seed, reports[suite].notes))
-        reports[suite].checks.append(checks[entry])
+        reports[entry[0]].checks.append(checks[entry])
 
 
 def run_suite(suite: str, max_n: int, seed: int = 0) -> list:

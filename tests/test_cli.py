@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -466,6 +467,25 @@ def test_verify_rejects_negative(capsys):
 def test_verify_report_is_frozen(capsys):
     out = run(capsys, "verify", "--suite", "all", "--max-n", "4", "--seed", "0")
     assert out == (0, VERIFY_ALL_4, "")
+
+
+# sha256 of the stdout of `censym verify --suite S --max-n N --seed 0`,
+# frozen when each series check still built its own tables
+@pytest.mark.parametrize(
+    "suite, max_n, digest",
+    [
+        # the Catalan and arithmetic orders clamp
+        ("series", 1, "c4a7d81a6d23c047571420d17e918911a6be8ccafe116a9038a124f4581cdc8c"),
+        # the oracle leg stops at n = 7 while the notes run to n = 30
+        ("series", 30, "0c3b958d7ba34896666d7bd3e4c2193092971a0465c87d9386415934802b2ccb"),
+        ("all", 1, "707edf67d50806e9151dfdf15361be2e68f391e00c65bd4ca72aa30399e46695"),
+    ],
+)
+def test_verify_report_digest_is_frozen(monkeypatch, capsys, suite, max_n, digest):
+    monkeypatch.delenv("CENSYM_MAX_ORACLE_N", raising=False)
+    argv = ("verify", "--suite", suite, "--max-n", str(max_n), "--seed", "0")
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 
 
 def test_verify_report_under_faults_is_frozen(monkeypatch, capsys):

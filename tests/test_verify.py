@@ -71,19 +71,25 @@ def test_three_routes_build_what_families_share_once(monkeypatch):
 
         return wrapper
 
-    k_ck = counted(tables._tables_k_ck, lambda max_n: "k, ck")
-    monkeypatch.setattr(tables, "_tables_k_ck", k_ck)
+    monkeypatch.delenv("CENSYM_MAX_ORACLE_N", raising=False)
+    for name in ("_tables_k_ck", "_tables_g_t"):
+        builder = counted(getattr(tables, name), lambda *args, name=name: name)
+        monkeypatch.setattr(tables, name, builder)
     for name in ("K", "T"):
         builder = counted(series._BUILDERS[name], lambda order, named, name=name: name)
         monkeypatch.setitem(series._BUILDERS, name, builder)
     classes = counted(oracle.enumerate_class, lambda spec: (spec.length, spec.avoid))
     monkeypatch.setattr(oracle, "enumerate_class", classes)
-    assert set(verify._three_routes(6, 14, 0, [])) == {""}
-    # one of each: the k, ck recurrence, series K and T, and the classes
-    # C_m(123) and C_m(132) for the lengths m = 2n and 2n + 1, n <= 6
+    (report,) = run_suite("series", 6)
+    assert report.ok
+    # one build of each route for all the table checks: the k, ck and g, t
+    # recurrences, series K and T, and the classes C_m(123) and C_m(132)
+    # for the lengths m = 2n and 2n + 1, n <= 6; the identities check
+    # builds series K and T once more, from its own NamedSeries
     patterns = ((1, 2, 3), (1, 3, 2))
     assert calls == Counter(
-        ["k, ck", "K", "T"] + [(m, p) for m in range(14) for p in patterns]
+        ["_tables_k_ck", "_tables_g_t", "K", "T", "K", "T"]
+        + [(m, p) for m in range(14) for p in patterns]
     )
 
 
