@@ -93,7 +93,8 @@ class ClassSpec(
 ):
     """A permutation class to enumerate by brute force.
 
-    avoid is a pattern in one-line tuple form, e.g. (1, 2, 3), or None.
+    avoid is a pattern, a permutation in one-line tuple form such as
+    (1, 2, 3), or None.
     subclass refines the even centrosymmetric 123-avoiders by the shape of
     their path image: 'k' Dyck paths, 'ck' elevated Dyck paths, 'g'
     elevated proper prefixes, 'composite' the rest.
@@ -105,8 +106,10 @@ class ClassSpec(
         self = super().__new__(cls, *args, **kwargs)
         if self.length < 0:
             raise ValueError("length must be nonnegative")
-        if self.avoid is not None and not isinstance(self.avoid, tuple):
-            raise ValueError("avoid must be a tuple of values or None")
+        if self.avoid is not None:
+            if not isinstance(self.avoid, tuple):
+                raise ValueError("avoid must be a tuple of values or None")
+            Permutation(self.avoid)  # raises unless avoid is a permutation
         if self.subclass is not None:
             if self.subclass not in SUBCLASSES:
                 raise ValueError(f"unknown subclass {self.subclass!r}")

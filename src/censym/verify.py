@@ -7,18 +7,29 @@ are listed separately and never fail a run.
 
 An entry is (suite, name, domain, check).  A domain is given the size
 bound, the even length where enumeration stops and the seed, and yields
-(size, group) pairs.  A member domain, such as all of C_m or the Dyck
-prefixes, yields one group of members per length; ``_routes`` yields one
-group of every family's table by each route, and ``_run`` one group of
-the run's cap and seed for the checks that build their own inputs.  A
-check takes one group and yields one verdict per case: "" when the case
-holds, the counterexample when it does not.  A ``Whole`` verdict fails
-the group as a whole and counts no case; a ``Note`` verdict is a passing
-case that records a known paper discrepancy.  ``run_checks`` walks each
-domain once per run, one group at a time, and hands every group to each
-selected check on that domain.
+(size, batches) pairs: the group of one size, as batches.  A member
+domain, such as all of C_m or the Dyck prefixes, streams the members of
+each length in lists of at most ``BATCH``, so no length is ever held
+whole.  The other domains yield each group as a single batch:
+``_s123`` S_m(123) with its odd class, ``_routes`` every family's table
+by each route, and ``_run`` the run's cap and seed for the checks that
+build their own inputs.
+
+A check is a generator function of the size.  It asks for the next batch
+with a bare ``yield``, and ``run_checks`` sends it one, or None once the
+group is done; before it asks again, it yields one verdict per case of
+the batch: "" when the case holds, the counterexample when it does not.
+A check on the group as a whole keeps a running count or set across the
+batches and yields its verdict once it is sent None.  A check with no
+cases at some size, such as one on even lengths only, may end before
+its group does.  A ``Whole`` verdict fails the group as a whole and
+counts no case; a ``Note`` verdict is a passing case that records a
+known paper discrepancy.  ``run_checks`` walks each domain once per
+run, one batch at a time, and sends every batch to each selected check
+on that domain.
 """
 
+from itertools import chain, islice
 from math import comb, factorial
 
 from . import bijection, oracle, paths, perms, tables
@@ -57,18 +68,24 @@ class Check:
     def __init__(self, name, passed, count=0, detail=""):
         self.name, self.passed, self.count, self.detail = name, passed, count, detail
 
-    def tally(self, verdicts, notes):
-        """Count each verdict but a Whole one; keep the first failure and
-        append each Note to notes."""
-        for verdict in verdicts:
-            if not verdict:  # a pass; a Whole or Note verdict is never empty
-                self.count += 1
-                continue
-            self.count += not isinstance(verdict, Whole)
-            if isinstance(verdict, Note):
-                notes.append(verdict)
-            elif self.passed:
-                self.passed, self.detail = False, verdict
+    def feed(self, check, batch, notes):
+        """Send a running check batch and tally the verdicts it yields up
+        to its next request or its end: count each verdict but a Whole
+        one, keep the first failure and append each Note to notes."""
+        try:
+            verdict = check.send(batch)
+            while verdict is not None:
+                if not verdict:  # a pass; a Whole or Note verdict is never empty
+                    self.count += 1
+                else:
+                    self.count += not isinstance(verdict, Whole)
+                    if isinstance(verdict, Note):
+                        notes.append(verdict)
+                    elif self.passed:
+                        self.passed, self.detail = False, verdict
+                verdict = next(check)
+        except StopIteration:  # the check is done and takes no more batches
+            pass
 
     def render(self) -> str:
         line = f"{'PASS' if self.passed else 'FAIL'} {self.name} ({self.count} checked)"
@@ -103,247 +120,289 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _oracle_members(length, **spec):
-    return list(oracle.enumerate_class(oracle.ClassSpec(length, **spec)))
+# members a member domain holds at once; from 256 up, the time per member
+# does not measurably change with the batch size
+BATCH = 1024
+
+
+def _batches(members):
+    """The members, an iterator, in lists of at most BATCH."""
+    return iter(lambda: list(islice(members, BATCH)), [])
+
+
+def _oracle(length, **spec):
+    return _batches(oracle.enumerate_class(oracle.ClassSpec(length, **spec)))
 
 
 def _centro(max_n, cap, seed):
     """All of C_m."""
     for m in range(min(2 * max_n, cap) + 1):
-        yield m, _oracle_members(m, centrosymmetric=True)
+        yield m, _oracle(m, centrosymmetric=True)
 
 
 def _c123(max_n, cap, seed):
     """C_2n(123) as the preimages of the Dyck prefixes under phi."""
     for n in range(min(max_n, cap // 2) + 1):
-        yield 2 * n, list(bijection.generate_c123_even(2 * n))
+        yield 2 * n, _batches(bijection.generate_c123_even(2 * n))
 
 
 def _c123_oracle(max_n, cap, seed):
     """C_2n(123) by brute force."""
     for n in range(min(max_n, cap // 2) + 1):
-        yield 2 * n, _oracle_members(2 * n, centrosymmetric=True, avoid=(1, 2, 3))
+        yield 2 * n, _oracle(2 * n, centrosymmetric=True, avoid=(1, 2, 3))
 
 
 def _c132(max_n, cap, seed):
     """C_m(132) by brute force."""
     for m in range(2 * min(max_n, cap // 2) + 1):
-        yield m, _oracle_members(m, centrosymmetric=True, avoid=(1, 3, 2))
+        yield m, _oracle(m, centrosymmetric=True, avoid=(1, 3, 2))
 
 
 def _prefixes(max_n, cap, seed):
     """The Dyck prefixes of length 2n."""
     for n in range(min(max_n, cap // 2) + 1):
-        yield 2 * n, list(paths.enumerate_prefixes(2 * n))
+        yield 2 * n, _batches(paths.enumerate_prefixes(2 * n))
 
 
 def _s123(max_n, cap, seed):
     """S_m(123), with the odd class C_2m+1(123) it should lift onto."""
     for m in range(min(max_n, oracle.GENERAL_MAX_LENGTH - 1, cap // 2) + 1):
-        odd = _oracle_members(2 * m + 1, centrosymmetric=True, avoid=(1, 2, 3))
-        yield m, (_oracle_members(m, avoid=(1, 2, 3)), {p.values for p in odd})
+        alphas = list(oracle.enumerate_class(oracle.ClassSpec(m, avoid=(1, 2, 3))))
+        odd = oracle.ClassSpec(2 * m + 1, centrosymmetric=True, avoid=(1, 2, 3))
+        yield m, [(alphas, {p.values for p in oracle.enumerate_class(odd)})]
 
 
 def _routes(max_n, cap, seed):
     """Every family's table by each route; the oracle's stop at n = cap // 2."""
     sizes = (("recurrence", max_n), ("series", max_n), ("oracle", min(max_n, cap // 2)))
-    yield max_n, [tables.descent_tables(s, tables.FAMILIES, m) for s, m in sizes]
+    yield max_n, [[tables.descent_tables(s, tables.FAMILIES, m) for s, m in sizes]]
 
 
 def _run(max_n, cap, seed):
     """The run's cap and seed, for the checks that build their own inputs."""
-    yield max_n, (cap, seed)
+    yield max_n, [(cap, seed)]
 
 
-def _centro_count(m, members):
+def _counted():
+    """Take batches until the group is done; return how many members came."""
+    count = 0
+    while (members := (yield)) is not None:
+        count += len(members)
+    return count
+
+
+def _values():
+    """Take batches until the group is done; return the set of their values."""
+    values = set()
+    while (members := (yield)) is not None:
+        values.update(p.values for p in members)
+    return values
+
+
+def _centro_count(m):
+    count = yield from _counted()
     if m % 2 == 0:
         n = m // 2
-        ok = len(members) == 2**n * factorial(n)
-        yield "" if ok else f"|C_{m}| = {len(members)}"
+        ok = count == 2**n * factorial(n)
+        yield "" if ok else f"|C_{m}| = {count}"
 
 
-def _count_123(m, members):
+def _count_123(m):
+    count = yield from _counted()
     want = comb(m, m // 2)
-    ok = len(members) == want
-    yield "" if ok else f"|C_{m}(123)| = {len(members)}, expected {want}"
+    yield "" if count == want else f"|C_{m}(123)| = {count}, expected {want}"
 
 
-def _count_132(m, members):
+def _count_132(m):
+    count = yield from _counted()
     if m % 2 == 0:
         want = 2 ** (m // 2)
-        ok = len(members) == want
-        yield "" if ok else f"|C_{m}(132)| = {len(members)}, expected {want}"
+        yield "" if count == want else f"|C_{m}(132)| = {count}, expected {want}"
 
 
-def _mirror_descents(m, members):
-    for p in members:
-        d = perms.descent_set(p)
-        ok = d == tuple(map(m.__sub__, reversed(d)))
-        yield "" if ok else f"asymmetric descent set for {p}"
+def _mirror_descents(m):
+    while (members := (yield)) is not None:
+        for p in members:
+            d = perms.descent_set(p)
+            ok = d == tuple(map(m.__sub__, reversed(d)))
+            yield "" if ok else f"asymmetric descent set for {p}"
 
 
-def _descents_from_half(m, members):
-    if m % 2 == 0:
+def _descents_from_half(m):
+    while m % 2 == 0 and (members := (yield)) is not None:
         for p in members:
             ok = perms.descents_from_half(p) == perms.descent_count(p)
             yield "" if ok else f"half-word descent count wrong for {p}"
 
 
-def _minima_decomposition(m, members):
-    for p in members:
-        dec = perms.minima_decomposition(p)
-        flags = dec.tiny_flags
-        rebuilt = []
-        for x, w in dec.blocks:
-            rebuilt.append(x)
-            rebuilt.extend(w)
-        if any(a and not b for a, b in zip(flags, flags[1:])):
-            yield f"tiny flags not monotone for {p}"
-        elif tuple(rebuilt) != perms.left_half_word(p):
-            yield f"decomposition does not reassemble for {p}"
-        else:
-            yield ""
+def _minima_decomposition(m):
+    while (members := (yield)) is not None:
+        for p in members:
+            dec = perms.minima_decomposition(p)
+            flags = dec.tiny_flags
+            rebuilt = []
+            for x, w in dec.blocks:
+                rebuilt.append(x)
+                rebuilt.extend(w)
+            if any(a and not b for a, b in zip(flags, flags[1:])):
+                yield f"tiny flags not monotone for {p}"
+            elif tuple(rebuilt) != perms.left_half_word(p):
+                yield f"decomposition does not reassemble for {p}"
+            else:
+                yield ""
 
 
-def _prefix_count(m, prefixes):
-    ok = len(prefixes) == comb(m, m // 2)
-    yield "" if ok else f"{len(prefixes)} prefixes of length {m}"
+def _prefix_count(m):
+    count = yield from _counted()
+    ok = count == comb(m, m // 2)
+    yield "" if ok else f"{count} prefixes of length {m}"
 
 
-def _dyck_count(m, prefixes):
-    got = sum(1 for p in prefixes if p.is_dyck_path)
+def _dyck_count(m):
+    got = 0
+    while (prefixes := (yield)) is not None:
+        got += sum(1 for p in prefixes if p.is_dyck_path)
     ok = got == comb(m, m // 2) // (m // 2 + 1)
     yield "" if ok else f"{got} Dyck paths of length {m}"
 
 
-def _classification(m, prefixes):
-    for p in prefixes:
-        c = paths.classify(p)
-        kinds = (c.is_dyck_path, c.is_elevated and not c.is_dyck_path)
-        if c.kind == "composite":
-            if any(kinds) or c.split is None:
-                yield f"bad composite classification for {p}"
-                continue
-            left, right = c.split
-            if left.steps + right.steps != p.steps:
-                yield f"split does not reassemble {p}"
-            elif not left.is_dyck_path or left.final_height != 0:
-                yield f"split left part not Dyck for {p}"
-            elif right.returns != 0 or not right.steps:
-                yield f"split right part returns to 0 for {p}"
+def _classification(m):
+    while (prefixes := (yield)) is not None:
+        for p in prefixes:
+            c = paths.classify(p)
+            kinds = (c.is_dyck_path, c.is_elevated and not c.is_dyck_path)
+            if c.kind == "composite":
+                if any(kinds) or c.split is None:
+                    yield f"bad composite classification for {p}"
+                    continue
+                left, right = c.split
+                if left.steps + right.steps != p.steps:
+                    yield f"split does not reassemble {p}"
+                elif not left.is_dyck_path or left.final_height != 0:
+                    yield f"split left part not Dyck for {p}"
+                elif right.returns != 0 or not right.steps:
+                    yield f"split right part returns to 0 for {p}"
+                else:
+                    yield ""
+            elif c.kind == "dyck" and not p.is_dyck_path:
+                yield f"non-Dyck classified dyck: {p}"
+            elif c.kind == "elevated-proper" and (p.is_dyck_path or p.returns != 0):
+                yield f"bad elevated-proper: {p}"
             else:
                 yield ""
-        elif c.kind == "dyck" and not p.is_dyck_path:
-            yield f"non-Dyck classified dyck: {p}"
-        elif c.kind == "elevated-proper" and (p.is_dyck_path or p.returns != 0):
-            yield f"bad elevated-proper: {p}"
-        else:
-            yield ""
 
 
-def _heights(m, prefixes):
-    for p in prefixes:
-        h = p.heights()
-        if h[-1] != p.final_height or min(h) < 0:
-            yield f"height bookkeeping wrong for {p}"
-        elif sum(1 for v in h[1:] if v == 0) != p.returns:
-            yield f"return count wrong for {p}"
-        else:
-            yield ""
+def _heights(m):
+    while (prefixes := (yield)) is not None:
+        for p in prefixes:
+            h = p.heights()
+            if h[-1] != p.final_height or min(h) < 0:
+                yield f"height bookkeeping wrong for {p}"
+            elif sum(1 for v in h[1:] if v == 0) != p.returns:
+                yield f"return count wrong for {p}"
+            else:
+                yield ""
 
 
-def _round_trip_paths(m, prefixes):
+def _round_trip_paths(m):
     seen = set()
-    for path in prefixes:
-        p = bijection.phi_inverse(path)
-        seen.add(p.values)
-        ok = bijection.phi(p).steps == path.steps
-        yield "" if ok else f"phi(phi_inverse({path.steps})) differs"
+    while (prefixes := (yield)) is not None:
+        for path in prefixes:
+            p = bijection.phi_inverse(path)
+            seen.add(p.values)
+            ok = bijection.phi(p).steps == path.steps
+            yield "" if ok else f"phi(phi_inverse({path.steps})) differs"
     if len(seen) != comb(m, m // 2):
         yield Whole(f"phi_inverse not injective at 2n = {m}")
 
 
-def _round_trip_members(m, members):
-    for p in members:
-        ok = bijection.phi_inverse(bijection.phi(p)) == p
-        yield "" if ok else f"phi_inverse(phi({p})) differs"
+def _round_trip_members(m):
+    while (members := (yield)) is not None:
+        for p in members:
+            ok = bijection.phi_inverse(bijection.phi(p)) == p
+            yield "" if ok else f"phi_inverse(phi({p})) differs"
 
 
-def _structural_generator(m, members):
-    structural = {p.values for p in bijection.generate_c123_structural(m)}
-    ok = structural == {p.values for p in members}
+def _structural_generator(m):
+    values = yield from _values()
+    ok = {p.values for p in bijection.generate_c123_structural(m)} == values
     yield "" if ok else f"structural generator mismatch at 2n = {m}"
 
 
-def _final_height(m, members):
-    for p in members:
-        tiny = sum(perms.minima_decomposition(p).tiny_flags)
-        path = bijection.phi(p)
-        half_high = all(v > m // 2 for v in perms.left_half_word(p))
-        if path.final_height != 2 * tiny:
-            yield f"final height != 2 tiny for {p}"
-        elif path.is_dyck_path != (tiny == 0) or (tiny == 0) != half_high:
-            yield f"Dyck iff no tiny iff high half fails for {p}"
-        else:
-            yield ""
+def _final_height(m):
+    while (members := (yield)) is not None:
+        for p in members:
+            tiny = sum(perms.minima_decomposition(p).tiny_flags)
+            path = bijection.phi(p)
+            half_high = all(v > m // 2 for v in perms.left_half_word(p))
+            if path.final_height != 2 * tiny:
+                yield f"final height != 2 tiny for {p}"
+            elif path.is_dyck_path != (tiny == 0) or (tiny == 0) != half_high:
+                yield f"Dyck iff no tiny iff high half fails for {p}"
+            else:
+                yield ""
 
 
-def _components_vs_returns(m, members):
+def _components_vs_returns(m):
     """Right components number twice the returns of phi(p), plus one
     when phi(p) is not a Dyck path."""
-    for p in members:
-        components = len(perms.right_connected_components(p))
-        path = bijection.phi(p)
-        expected = 2 * path.returns + (not path.is_dyck_path)
-        yield "" if components == expected else (
-            f"component/return relation failed for {p}: "
-            f"{components} components vs {expected} expected"
-        )
+    while (members := (yield)) is not None:
+        for p in members:
+            components = len(perms.right_connected_components(p))
+            path = bijection.phi(p)
+            expected = 2 * path.returns + (not path.is_dyck_path)
+            yield "" if components == expected else (
+                f"component/return relation failed for {p}: "
+                f"{components} components vs {expected} expected"
+            )
 
 
-def _dyck_descents(m, members):
-    for p in members:
-        path = bijection.phi(p)
-        if path.is_dyck_path:
-            want = 2 * (path.triple_falls + path.valleys) + 1 if m else 0
-            ok = perms.descent_count(p) == want
-            yield "" if ok else f"descent formula fails for {p}"
+def _dyck_descents(m):
+    while (members := (yield)) is not None:
+        for p in members:
+            path = bijection.phi(p)
+            if path.is_dyck_path:
+                want = 2 * (path.triple_falls + path.valleys) + 1 if m else 0
+                ok = perms.descent_count(p) == want
+                yield "" if ok else f"descent formula fails for {p}"
 
 
-def _block_heights(m, members):
-    for p in members:
-        trace = bijection.phi_trace(p)
-        if trace.predicted_heights is not None:
-            ok = trace.predicted_heights == trace.block_heights()
-            yield "" if ok else f"predicted heights differ for {p}"
+def _block_heights(m):
+    while (members := (yield)) is not None:
+        for p in members:
+            trace = bijection.phi_trace(p)
+            if trace.predicted_heights is not None:
+                ok = trace.predicted_heights == trace.block_heights()
+                yield "" if ok else f"predicted heights differ for {p}"
 
 
-def _composite_split(m, members):
-    for p in members:
-        c = paths.classify(bijection.phi(p))
-        if c.split is None:
-            continue
-        dyck_part, proper_part = c.split
-        a = len(dyck_part) // 2
-        middle = p.values[a : m - a]
-        ends = p.values[:a] + p.values[m - a :]
-        inner = bijection.phi_inverse(proper_part)
-        outer = bijection.phi_inverse(dyck_part)
-        if (
-            perms.rank_within(middle, tuple(sorted(middle))) != inner.values
-            or perms.rank_within(ends, tuple(sorted(ends))) != outer.values
-        ):
-            yield f"composite split structure fails for {p}"
-        elif perms.descent_count(p) != (
-            perms.descent_count(inner) + perms.descent_count(outer) + 1
-        ):
-            yield f"composite descent offset fails for {p}"
-        else:
-            yield ""
+def _composite_split(m):
+    while (members := (yield)) is not None:
+        for p in members:
+            c = paths.classify(bijection.phi(p))
+            if c.split is None:
+                continue
+            dyck_part, proper_part = c.split
+            a = len(dyck_part) // 2
+            middle = p.values[a : m - a]
+            ends = p.values[:a] + p.values[m - a :]
+            inner = bijection.phi_inverse(proper_part)
+            outer = bijection.phi_inverse(dyck_part)
+            if (
+                perms.rank_within(middle, tuple(sorted(middle))) != inner.values
+                or perms.rank_within(ends, tuple(sorted(ends))) != outer.values
+            ):
+                yield f"composite split structure fails for {p}"
+            elif perms.descent_count(p) != (
+                perms.descent_count(inner) + perms.descent_count(outer) + 1
+            ):
+                yield f"composite descent offset fails for {p}"
+            else:
+                yield ""
 
 
-def _odd_123(m, group):
-    alphas, odd_members = group
+def _odd_123(m):
+    alphas, odd_members = yield
     image = set()
     for alpha in alphas:
         lifted = bijection.odd_embed(alpha)
@@ -359,18 +418,21 @@ def _odd_123(m, group):
         yield Whole(f"odd embedding not onto at length {2 * m + 1}")
 
 
-def _generator_132(m, members):
-    ok = {p.values for p in bijection.generate_c132(m)} == {p.values for p in members}
+def _generator_132(m):
+    values = yield from _values()
+    ok = {p.values for p in bijection.generate_c132(m)} == values
     yield "" if ok else f"132 generator mismatch at length {m}"
 
 
-def _t_rows(max_n, routes):
+def _t_rows(max_n):
+    routes = yield
     rows = routes[0]["t"].rows
     for n in range(min(max_n, len(T_ROWS_FROZEN) - 1) + 1):
         yield "" if rows[n] == T_ROWS_FROZEN[n] else f"t row {n} = {rows[n]}"
 
 
-def _row_sums(max_n, routes):
+def _row_sums(max_n):
+    routes = yield
     rec = routes[0]
     for n in range(max_n + 1):
         row_sum = sum(rec["t"].rows[n])
@@ -385,9 +447,10 @@ def _row_sums(max_n, routes):
         yield f"v row {n} nonzero at d = {bad[0]}" if bad else ""
 
 
-def _three_routes(max_n, routes):
+def _three_routes(max_n):
     # every table cell against the oracle (through its own max n) and the
     # series; a series mismatch on a known discrepancy is a Note
+    routes = yield
     for family in tables.FAMILIES:
         table, ser, orc = (route[family] for route in routes)
         for n in range(max_n + 1):
@@ -423,10 +486,10 @@ def _random_integral_series(rng, order):
     )
 
 
-def _series_arithmetic(max_n, run):
+def _series_arithmetic(max_n):
     import random  # only here: importing it slows every start-up
 
-    _, seed = run
+    _, seed = yield
     rng = random.Random(seed)
     # the round trips do not depend on the order, so it stops at 10
     order = min(max(max_n, 2), 10)
@@ -441,18 +504,20 @@ def _series_arithmetic(max_n, run):
         yield "" if ok else f"sqrt(a^2) != a (trial {trial})"
 
 
-def _catalan_series(max_n, run):
+def _catalan_series(max_n):
+    run = yield
     disc = BivariateSeries.from_terms(max(max_n, 2), [(0, 0, 1), (1, 0, -4)])
     catalan = (1 - disc.sqrt()).div_x(1) / 2
-    for m, prefixes in _prefixes(min(catalan.order, 10), *run):
+    for m, batches in _prefixes(min(catalan.order, 10), *run):
         n = m // 2
         coeff = catalan.coefficient(n, 0)
-        counted = sum(1 for p in prefixes if p.is_dyck_path)
+        counted = sum(p.is_dyck_path for prefixes in batches for p in prefixes)
         ok = coeff == counted == comb(m, n) // (n + 1)
         yield "" if ok else f"Catalan coefficient {n} = {coeff}"
 
 
-def _series_identities(max_n, run):
+def _series_identities(max_n):
+    yield  # the run's group: this check needs only the order
     order = max(max_n, 2)
     named = NamedSeries(order)
     v, k, ck, s, t = (named[name] for name in ("V", "K", "CK", "S", "T"))
@@ -548,15 +613,21 @@ CHECKS = (
 def run_checks(entries, max_n, cap, seed, reports):
     """Append the Check of each catalogue entry to reports[its suite].
 
-    Each domain of the entries is walked once, one group at a time, and
-    every group goes to each entry on that domain.
+    Each domain of the entries is walked once, one batch at a time, and
+    every batch goes to each entry's running check on that domain.
     """
     checks = {entry: Check(entry[1], True) for entry in entries}
     for domain in dict.fromkeys(entry[2] for entry in entries):
         on_domain = [entry for entry in entries if entry[2] is domain]
-        for size, group in domain(max_n, cap, seed):
-            for entry in on_domain:
-                checks[entry].tally(entry[3](size, group), reports[entry[0]].notes)
+        for size, batches in domain(max_n, cap, seed):
+            running = [
+                (checks[entry], entry[3](size), reports[entry[0]].notes)
+                for entry in on_domain
+            ]
+            # the first None starts each check, the last ends its group
+            for batch in chain((None,), batches, (None,)):
+                for tally, check, notes in running:
+                    tally.feed(check, batch, notes)
     for entry in entries:
         reports[entry[0]].checks.append(checks[entry])
 

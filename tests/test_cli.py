@@ -479,6 +479,8 @@ def test_verify_report_is_frozen(capsys):
         # the oracle leg stops at n = 7 while the notes run to n = 30
         ("series", 30, "0c3b958d7ba34896666d7bd3e4c2193092971a0465c87d9386415934802b2ccb"),
         ("all", 1, "707edf67d50806e9151dfdf15361be2e68f391e00c65bd4ca72aa30399e46695"),
+        # C_12 has 46080 members, a group of many batches
+        ("all", 6, "d1da5ad5128ff47934087d9a8258a8d96c151973a815e32bfa493cf63c5d09a1"),
     ],
 )
 def test_verify_report_digest_is_frozen(monkeypatch, capsys, suite, max_n, digest):

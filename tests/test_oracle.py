@@ -172,6 +172,14 @@ def test_general_class_counts():
         assert got == catalan
 
 
+def test_avoid_must_be_a_permutation():
+    # both once enumerated as classes: 16 members and 1
+    with pytest.raises(ValueError, match="duplicate value 2"):
+        ClassSpec(8, centrosymmetric=True, avoid=(2, 3, 2))
+    with pytest.raises(ValueError, match="value 0 out of range"):
+        ClassSpec(4, avoid=(0, 5))
+
+
 def test_avoid_patterns_other_than_length_three():
     spec = ClassSpec(5, avoid=(1, 2))
     assert _texts(spec) == {"54321"}
