@@ -14,15 +14,19 @@ import sys
 
 from . import bijection, oracle, tables, verify
 from .paths import LatticePath
-from .perms import parse_permutation, stats
+from .perms import InvalidPermutation, Permutation, parse_permutation, stats
 from .series import NAMED_SERIES, NamedSeries
 
 
 def _parse_pattern(text: str):
-    values = tuple(map(int, text)) if text.isascii() and text.isdigit() else ()
-    if not values or sorted(values) != list(range(1, len(values) + 1)):
-        raise ValueError(f"not a pattern: {text!r}")
-    return values
+    """A pattern such as 132 as its tuple of values.  Permutation, the rule
+    that ClassSpec applies to avoid, decides which digits form one."""
+    try:
+        if text.isascii() and text.isdigit():
+            return Permutation(map(int, text)).values
+    except InvalidPermutation:
+        pass
+    raise ValueError(f"not a pattern: {text!r}")
 
 
 def _print_json(payload) -> None:
@@ -132,37 +136,27 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="censym",
-        description=(
-            "Pattern-avoiding centrosymmetric permutations: statistics, the "
-            "path bijection, enumeration, descent tables, and series."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("perm-stats", help="statistics of one permutation")
+def _perm_stats_args(p) -> None:
     p.add_argument("perm", help="space/comma-separated 1-based values, or - for stdin")
-    p.set_defaults(func=_cmd_perm_stats)
 
-    p = sub.add_parser("phi", help="map a member to its Dyck prefix")
+
+def _phi_args(p) -> None:
     p.add_argument("perm", help="the member as for perm-stats, or - for stdin")
-    p.set_defaults(func=_cmd_phi)
 
-    p = sub.add_parser("phi-inv", help="map a Dyck prefix back to the member")
+
+def _phi_inv_args(p) -> None:
     p.add_argument("path", help="U/D string, or - for stdin")
-    p.set_defaults(func=_cmd_phi_inv)
 
-    p = sub.add_parser("enumerate", help="list a permutation class")
+
+def _enumerate_args(p) -> None:
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--centro", action="store_true")
     p.add_argument("--avoid", help="pattern such as 123 or 132")
     p.add_argument("--subclass", choices=oracle.SUBCLASSES)
     p.add_argument("--format", choices=("lines", "json", "csv"), default="lines")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("table", help="descent table of a family")
+
+def _table_args(p) -> None:
     p.add_argument("--family", choices=tables.FAMILIES, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument(
@@ -171,24 +165,60 @@ def build_parser() -> argparse.ArgumentParser:
         default="recurrence",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("series", help="coefficients of a named series")
+
+def _series_args(p) -> None:
     p.add_argument("--name", choices=NAMED_SERIES, required=True)
     p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+
+def _verify_args(p) -> None:
     p.add_argument("--suite", choices=verify.SUITES, default="all")
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
 
+
+# (name, help, the command, a function adding its arguments to its parser)
+_COMMANDS = (
+    ("perm-stats", "statistics of one permutation", _cmd_perm_stats, _perm_stats_args),
+    ("phi", "map a member to its Dyck prefix", _cmd_phi, _phi_args),
+    ("phi-inv", "map a Dyck prefix back to the member", _cmd_phi_inv, _phi_inv_args),
+    ("enumerate", "list a permutation class", _cmd_enumerate, _enumerate_args),
+    ("table", "descent table of a family", _cmd_table, _table_args),
+    ("series", "coefficients of a named series", _cmd_series, _series_args),
+    ("verify", "run a verification suite", _cmd_verify, _verify_args),
+)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of only the named command when it
+    is one.  Both print the same help, usage and error text for an argv
+    that starts with that command."""
+    parser = argparse.ArgumentParser(
+        prog="censym",
+        description=(
+            "Pattern-avoiding centrosymmetric permutations: statistics, the "
+            "path bijection, enumeration, descent tables, and series."
+        ),
+    )
+    chosen = [entry for entry in _COMMANDS if entry[0] == command]
+    # one command's parser still lists all of them in its usage line, by
+    # the metavar; the full parser sets none, because argparse would name
+    # the action by it, not by "command", in its "invalid choice" and
+    # "arguments are required" errors
+    metavar = "{" + ",".join(entry[0] for entry in _COMMANDS) + "}" if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, func, add_arguments in chosen or _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -232,6 +233,65 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "table", "--family", "zz", "--max-n", "2")[0] == 2
     assert run(capsys, "enumerate")[0] == 2
+
+
+# each command with the fewest arguments that parse
+PARSED = {
+    "perm-stats": ["perm-stats", "1"],
+    "phi": ["phi", "1"],
+    "phi-inv": ["phi-inv", "UD"],
+    "enumerate": ["enumerate", "--len", "2"],
+    "table": ["table", "--family", "t", "--max-n", "1"],
+    "series": ["series", "--name", "T", "--order", "1"],
+    "verify": ["verify"],
+}
+
+# argvs that stop in argument parsing: every help text, usage line and
+# kind of usage error, at the top level and in each command
+PARSE_EXITS = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["-x", "phi"],
+    ["phi-inv", "UD", "extra"],
+    ["table", "--family", "zz", "--max-n", "2"],
+    ["series", "--name", "T", "--order", "x"],
+    *([name, "-h"] for name in PARSED),
+    *([*argv, "--bogus"] for argv in PARSED.values()),
+    *([name] for name in PARSED if name != "verify"),
+]
+
+
+def test_usage_errors_name_the_command_argument(capsys):
+    assert "argument command: invalid choice: 'bogus'" in run(capsys, "bogus")[2]
+    assert "the following arguments are required: command" in run(capsys)[2]
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
+def test_usage_text_matches_the_full_parser(monkeypatch, capsys, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)  # argparse wraps its text to it
+    with pytest.raises(SystemExit) as stop:
+        cli.build_parser().parse_args(argv)
+    expected = (stop.value.code, *capsys.readouterr())
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, built", [(["phi-inv", "UD"], 2), (["--help"], 8), (["bogus"], 8)]
+)
+def test_main_builds_only_the_invoked_commands_parser(monkeypatch, capsys, argv, built):
+    # the top-level parser and one per command it registers
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run(capsys, *argv)
+    assert len(parsers) == built
 
 
 def test_perm_stats_json(capsys):
@@ -553,17 +613,28 @@ def test_verify_checks_t_against_the_printed_form(monkeypatch, capsys):
     ) in out
 
 
-def test_python_dash_m_runs_the_cli():
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    # main() without argv reads sys.argv
     src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-m", "censym", "verify", "--suite", "path", "--max-n", "2"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def censym(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "censym", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    done = censym("verify", "--suite", "path", "--max-n", "2")
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("all suites passed\n")
+    done = censym("--help")
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, "--help")
+    assert done.stdout.startswith("usage: censym [-h]")
+    done = censym("phi-inv", "UUDD")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3 4 1 2\n", "")
 
 
 def start_up_modules(*flags):
