@@ -10,7 +10,13 @@ bound, the even length where enumeration stops and the seed, and yields
 (size, batches) pairs: the group of one size, as batches.  A member
 domain, such as all of C_m or the Dyck prefixes, streams the members of
 each length in lists of at most ``BATCH``, so no length is ever held
-whole.  The other domains yield each group as a single batch:
+whole.  ``_c123`` streams C_2n(123) as one record per Dyck prefix of
+length 2n, (path, member, image, decomposition): the member is
+phi_inverse(path), the image phi(member) and the decomposition the
+member's minima decomposition.  Each record is built once, and every
+check on the domain reads it rather than calling phi or the
+decomposition itself.  The other domains yield each group as a single
+batch:
 ``_s123`` S_m(123) with its odd class, ``_routes`` every family's table
 by each route, and ``_run`` the run's cap and seed for the checks that
 build their own inputs.
@@ -29,7 +35,7 @@ run, one batch at a time, and sends every batch to each selected check
 on that domain.
 """
 
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from math import comb, factorial
 
 from . import bijection, oracle, paths, perms, tables
@@ -141,9 +147,15 @@ def _centro(max_n, cap, seed):
 
 
 def _c123(max_n, cap, seed):
-    """C_2n(123) as the preimages of the Dyck prefixes under phi."""
+    """C_2n(123) as the preimages of the Dyck prefixes under phi, one
+    (path, member, image, decomposition) record a prefix."""
     for n in range(min(max_n, cap // 2) + 1):
-        yield 2 * n, _batches(bijection.generate_c123_even(2 * n))
+        yield 2 * n, _batches(map(_c123_record, paths.enumerate_prefixes(2 * n)))
+
+
+def _c123_record(path):
+    p = bijection.phi_inverse(path)
+    return path, p, bijection.phi(p), perms.minima_decomposition(p)
 
 
 def _c123_oracle(max_n, cap, seed):
@@ -173,9 +185,12 @@ def _s123(max_n, cap, seed):
 
 
 def _routes(max_n, cap, seed):
-    """Every family's table by each route; the oracle's stop at n = cap // 2."""
+    """Every family's table by each route, as (route, tables, the max n
+    they are built to); the oracle's stop at n = cap // 2."""
     sizes = (("recurrence", max_n), ("series", max_n), ("oracle", min(max_n, cap // 2)))
-    yield max_n, [[tables.descent_tables(s, tables.FAMILIES, m) for s, m in sizes]]
+    yield max_n, [
+        [(s, tables.descent_tables(s, tables.FAMILIES, m), m) for s, m in sizes]
+    ]
 
 
 def _run(max_n, cap, seed):
@@ -236,9 +251,8 @@ def _descents_from_half(m):
 
 
 def _minima_decomposition(m):
-    while (members := (yield)) is not None:
-        for p in members:
-            dec = perms.minima_decomposition(p)
+    while (records := (yield)) is not None:
+        for _, p, _, dec in records:
             flags = dec.tiny_flags
             rebuilt = []
             for x, w in dec.blocks:
@@ -306,34 +320,34 @@ def _heights(m):
 
 def _round_trip_paths(m):
     seen = set()
-    while (prefixes := (yield)) is not None:
-        for path in prefixes:
-            p = bijection.phi_inverse(path)
+    while (records := (yield)) is not None:
+        for path, p, image, _ in records:
             seen.add(p.values)
-            ok = bijection.phi(p).steps == path.steps
+            ok = image.steps == path.steps
             yield "" if ok else f"phi(phi_inverse({path.steps})) differs"
     if len(seen) != comb(m, m // 2):
         yield Whole(f"phi_inverse not injective at 2n = {m}")
 
 
 def _round_trip_members(m):
-    while (members := (yield)) is not None:
-        for p in members:
-            ok = bijection.phi_inverse(bijection.phi(p)) == p
+    while (records := (yield)) is not None:
+        for _, p, image, _ in records:
+            ok = bijection.phi_inverse(image) == p
             yield "" if ok else f"phi_inverse(phi({p})) differs"
 
 
 def _structural_generator(m):
-    values = yield from _values()
+    values = set()
+    while (records := (yield)) is not None:
+        values.update(p.values for _, p, _, _ in records)
     ok = {p.values for p in bijection.generate_c123_structural(m)} == values
     yield "" if ok else f"structural generator mismatch at 2n = {m}"
 
 
 def _final_height(m):
-    while (members := (yield)) is not None:
-        for p in members:
-            tiny = sum(perms.minima_decomposition(p).tiny_flags)
-            path = bijection.phi(p)
+    while (records := (yield)) is not None:
+        for _, p, path, dec in records:
+            tiny = sum(dec.tiny_flags)
             half_high = all(v > m // 2 for v in perms.left_half_word(p))
             if path.final_height != 2 * tiny:
                 yield f"final height != 2 tiny for {p}"
@@ -346,10 +360,9 @@ def _final_height(m):
 def _components_vs_returns(m):
     """Right components number twice the returns of phi(p), plus one
     when phi(p) is not a Dyck path."""
-    while (members := (yield)) is not None:
-        for p in members:
+    while (records := (yield)) is not None:
+        for _, p, path, _ in records:
             components = len(perms.right_connected_components(p))
-            path = bijection.phi(p)
             expected = 2 * path.returns + (not path.is_dyck_path)
             yield "" if components == expected else (
                 f"component/return relation failed for {p}: "
@@ -358,9 +371,8 @@ def _components_vs_returns(m):
 
 
 def _dyck_descents(m):
-    while (members := (yield)) is not None:
-        for p in members:
-            path = bijection.phi(p)
+    while (records := (yield)) is not None:
+        for _, p, path, _ in records:
             if path.is_dyck_path:
                 want = 2 * (path.triple_falls + path.valleys) + 1 if m else 0
                 ok = perms.descent_count(p) == want
@@ -368,8 +380,8 @@ def _dyck_descents(m):
 
 
 def _block_heights(m):
-    while (members := (yield)) is not None:
-        for p in members:
+    while (records := (yield)) is not None:
+        for _, p, _, _ in records:
             trace = bijection.phi_trace(p)
             if trace.predicted_heights is not None:
                 ok = trace.predicted_heights == trace.block_heights()
@@ -377,9 +389,9 @@ def _block_heights(m):
 
 
 def _composite_split(m):
-    while (members := (yield)) is not None:
-        for p in members:
-            c = paths.classify(bijection.phi(p))
+    while (records := (yield)) is not None:
+        for _, p, image, _ in records:
+            c = paths.classify(image)
             if c.split is None:
                 continue
             dyck_part, proper_part = c.split
@@ -425,15 +437,14 @@ def _generator_132(m):
 
 
 def _t_rows(max_n):
-    routes = yield
-    rows = routes[0]["t"].rows
+    (_, rec, _), _, _ = yield
+    rows = rec["t"].rows
     for n in range(min(max_n, len(T_ROWS_FROZEN) - 1) + 1):
         yield "" if rows[n] == T_ROWS_FROZEN[n] else f"t row {n} = {rows[n]}"
 
 
 def _row_sums(max_n):
-    routes = yield
-    rec = routes[0]
+    (_, rec, _), _, _ = yield
     for n in range(max_n + 1):
         row_sum = sum(rec["t"].rows[n])
         yield "" if row_sum == comb(2 * n, n) else f"t row {n} sums to {row_sum}"
@@ -449,24 +460,30 @@ def _row_sums(max_n):
 
 def _three_routes(max_n):
     # every table cell against the oracle (through its own max n) and the
-    # series; a series mismatch on a known discrepancy is a Note
+    # series, on rows padded with zeros to the widest of the three; a route
+    # with the wrong number of rows fails the group, and a series mismatch
+    # on a known discrepancy is a Note
     routes = yield
     for family in tables.FAMILIES:
-        table, ser, orc = (route[family] for route in routes)
-        for n in range(max_n + 1):
-            width = max(
-                len(table.rows[n]),
-                len(ser.rows[n]),
-                len(orc.rows[n]) if n <= orc.max_n else 0,
-            )
-            for d in range(width):
-                want = table.cell(n, d)
-                if n <= orc.max_n:
-                    got = orc.cell(n, d)
-                    yield "" if got == want else (
-                        f"{family}[{n}][{d}]: table {want} vs oracle {got}"
+        table, ser, orc = (built[family].rows for _, built, _ in routes)
+        wrong = False
+        for route, built, size in routes:
+            rows = len(built[family].rows)
+            if rows != size + 1:
+                wrong = True
+                yield Whole(
+                    f"{family}: {route} route has {rows} rows, expected {size + 1}"
+                )
+        if wrong:
+            continue
+        for n, row in enumerate(table):
+            with_oracle = n < len(orc)
+            cells = zip_longest(row, ser[n], orc[n] if with_oracle else (), fillvalue=0)
+            for d, (want, got, by_oracle) in enumerate(cells):
+                if with_oracle:
+                    yield "" if by_oracle == want else (
+                        f"{family}[{n}][{d}]: table {want} vs oracle {by_oracle}"
                     )
-                got = ser.cell(n, d)
                 if got == want:
                     yield ""
                     continue
@@ -579,7 +596,7 @@ CHECKS = (
     ("path", "Dyck path count Catalan(n)", _prefixes, _dyck_count),
     ("path", "classification trichotomy and split", _prefixes, _classification),
     ("path", "heights, final height, returns agree", _prefixes, _heights),
-    ("bijection", "round trip path -> member -> path", _prefixes,
+    ("bijection", "round trip path -> member -> path", _c123,
      _round_trip_paths),
     ("bijection", "round trip member -> path -> member", _c123,
      _round_trip_members),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import censym
-from censym import bijection, oracle, series, tables, verify
+from censym import bijection, oracle, paths, perms, series, tables, verify
 from censym.oracle import ClassSpec
 from censym.perms import Permutation
 from censym.verify import CHECKS, run_suite
@@ -51,11 +51,14 @@ def test_member_domains_stream_their_groups(catalogue):
 
 def test_each_domain_length_is_enumerated_once(monkeypatch):
     calls = Counter()
-    real_even, real_class = bijection.generate_c123_even, oracle.enumerate_class
+    real_prefixes, real_class = paths.enumerate_prefixes, oracle.enumerate_class
 
-    def generate_c123_even(length):
-        calls["phi_inverse", length] += 1
-        return real_even(length)
+    def enumerate_prefixes(length):
+        # the path domain's prefixes are walked again by the Catalan check,
+        # which builds its own inputs; only the C_2n(123) domain counts here
+        if sys._getframe(1).f_code is verify._c123.__code__:
+            calls["_c123", length] += 1
+        return real_prefixes(length)
 
     def enumerate_class(spec):
         # the three-route check enumerates its own classes through
@@ -64,18 +67,75 @@ def test_each_domain_length_is_enumerated_once(monkeypatch):
             calls[spec] += 1
         return real_class(spec)
 
-    monkeypatch.setattr(bijection, "generate_c123_even", generate_c123_even)
+    monkeypatch.setattr(paths, "enumerate_prefixes", enumerate_prefixes)
     monkeypatch.setattr(oracle, "enumerate_class", enumerate_class)
     run_suite("all", 4)
     centro, c123, c132 = {"centrosymmetric": True}, (1, 2, 3), (1, 3, 2)
     assert calls == Counter(
-        [("phi_inverse", 2 * n) for n in range(5)]
+        [("_c123", 2 * n) for n in range(5)]
         + [ClassSpec(m, **centro) for m in range(9)]
         + [ClassSpec(2 * n, **centro, avoid=c123) for n in range(5)]
         + [ClassSpec(2 * n + 1, **centro, avoid=c123) for n in range(5)]
         + [ClassSpec(n, avoid=c123) for n in range(5)]
         + [ClassSpec(m, **centro, avoid=c132) for m in range(9)]
     )
+
+
+def test_bijection_suite_builds_each_record_once(monkeypatch):
+    prefixes = [path for n in range(5) for path in paths.enumerate_prefixes(2 * n)]
+    composites = sum(paths.classify(path).split is not None for path in prefixes)
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(arg):
+            calls[fn.__name__] += 1
+            return fn(arg)
+
+        return wrapper
+
+    for module, name in (
+        (bijection, "phi"), (bijection, "phi_inverse"), (perms, "minima_decomposition")
+    ):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    (report,) = run_suite("bijection", 4)
+    assert report.ok
+    # one record a prefix: its member by phi_inverse, the member's image by
+    # phi and its decomposition; the member round trip takes phi_inverse
+    # of each image, and the composite split of each composite's two parts
+    members = len(prefixes)
+    assert calls == Counter(
+        phi=members,
+        minima_decomposition=members,
+        phi_inverse=2 * members + 2 * composites,
+    )
+
+
+def _three_routes_tally(group, max_n):
+    tally, check = verify.Check("three routes", True), verify._three_routes(max_n)
+    for batch in (None, group, None):
+        tally.feed(check, batch, [])
+    return tally
+
+
+@pytest.mark.parametrize("fault", ["last row dropped", "row 0 zeroed"])
+@pytest.mark.parametrize("route", range(3))
+def test_three_routes_fails_a_faulty_route(route, fault, monkeypatch):
+    # the oracle stops at n = 2 below the others' 3, so rows past its own
+    # max n are covered too
+    monkeypatch.delenv("CENSYM_MAX_ORACLE_N", raising=False)
+    ((max_n, (group,)),) = verify._routes(3, 4, 0)
+    assert _three_routes_tally(group, max_n).passed
+    name, built, size = group[route]
+    if fault == "last row dropped":
+        faulty = {f: t._replace(rows=t.rows[:-1]) for f, t in built.items()}
+        want = f"q: {name} route has {size} rows, expected {size + 1}"
+    else:
+        faulty = {f: t._replace(rows=((0,),) + t.rows[1:]) for f, t in built.items()}
+        want = "[0][0]: table "
+    group = [*group[:route], (name, faulty, size), *group[route + 1 :]]
+    tally = _three_routes_tally(group, max_n)
+    assert not tally.passed
+    assert want in tally.detail
 
 
 def test_three_routes_build_what_families_share_once(monkeypatch):
