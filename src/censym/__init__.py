@@ -12,7 +12,6 @@ from .bijection import (
     PhiTrace,
     VerificationError,
     even_to_odd_132,
-    generate_c123_even,
     generate_c123_structural,
     generate_c132,
     odd_embed,
@@ -20,7 +19,6 @@ from .bijection import (
     phi,
     phi_inverse,
     phi_trace,
-    predicted_heights,
 )
 from .oracle import CapExceeded, ClassSpec, descent_histogram, enumerate_class
 from .paths import (
@@ -28,13 +26,11 @@ from .paths import (
     LatticePath,
     classify,
     enumerate_prefixes,
-    path_stats,
 )
 from .perms import (
     InvalidPermutation,
     MinimaDecomposition,
     Permutation,
-    avoids_pattern,
     contains_pattern,
     descent_count,
     descent_set,
@@ -66,7 +62,6 @@ __all__ = [
     "Permutation",
     "PhiTrace",
     "VerificationError",
-    "avoids_pattern",
     "classify",
     "contains_pattern",
     "descent_count",
@@ -76,7 +71,6 @@ __all__ = [
     "enumerate_class",
     "enumerate_prefixes",
     "even_to_odd_132",
-    "generate_c123_even",
     "generate_c123_structural",
     "generate_c132",
     "is_centrosymmetric",
@@ -86,11 +80,9 @@ __all__ = [
     "odd_embed",
     "odd_project",
     "parse_permutation",
-    "path_stats",
     "phi",
     "phi_inverse",
     "phi_trace",
-    "predicted_heights",
     "right_connected_components",
     "run_suite",
     "__version__",

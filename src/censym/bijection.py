@@ -40,7 +40,7 @@ from .perms import (
     is_centrosymmetric,
     require_member,
 )
-from .paths import InvalidPath, LatticePath, enumerate_prefixes
+from .paths import InvalidPath, LatticePath
 
 
 class PhiBlock(namedtuple("PhiBlock", "minimum word tiny emitted deleted")):
@@ -66,10 +66,6 @@ class PhiTrace(namedtuple("PhiTrace", "blocks predicted_heights")):
     """
 
     __slots__ = ()
-
-    @property
-    def path(self) -> LatticePath:
-        return LatticePath("".join(b.emitted for b in self.blocks))
 
     def block_heights(self) -> tuple:
         """Measured (after-first-descent, after-block) height pairs."""
@@ -136,14 +132,6 @@ def _predicted_heights(blocks, n):
         after_block = 2 * n - (j - 1) - x - consumed
         out.append((after_first_descent, after_block))
     return tuple(out)
-
-
-def predicted_heights(p: Permutation) -> tuple:
-    """Closed-form block heights of phi(p); requires no tiny minimum."""
-    predicted = phi_trace(p).predicted_heights
-    if predicted is None:
-        raise InvalidPermutation("height formulas require a member with no tiny minima")
-    return predicted
 
 
 def _inv_half(steps: str):
@@ -288,19 +276,7 @@ def _layered(n: int, widths) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# class generators for even-length 123-avoiders
-
-
-def generate_c123_even(length: int):
-    """All members of even length, as preimages of Dyck prefixes.
-
-    The enumeration order follows the lexicographic prefix order (U < D),
-    so it is deterministic; there are binomial(2n, n) members.
-    """
-    if length % 2:
-        raise InvalidPermutation("length must be even")
-    for path in enumerate_prefixes(length):
-        yield phi_inverse(path)
+# the structural generator for even-length 123-avoiders
 
 
 def _structural_half_words(n: int):
@@ -349,7 +325,7 @@ def _block_choices(n: int):
 
 
 def generate_c123_structural(length: int):
-    """Second, independent generator for the even class (block structure)."""
+    """An independent generator for the even class, from its block structure."""
     if length % 2:
         raise InvalidPermutation("length must be even")
     for half in _structural_half_words(length // 2):

@@ -98,15 +98,11 @@ def _cmd_table(args) -> int:
     if args.format == "csv":
         sys.stdout.write(tables.table_to_csv(table))
     else:
-        width = table.width()
         payload = {
             "family": table.family,
-            "max_n": table.max_n,
+            "max_n": len(table.rows) - 1,
             "source": args.source,
-            "rows": [
-                [str(table.cell(n, d)) for d in range(width)]
-                for n in range(table.max_n + 1)
-            ],
+            "rows": [[str(c) for c in row] for row in table.padded_rows()],
         }
         _print_json(payload)
     return 0

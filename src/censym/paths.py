@@ -114,15 +114,6 @@ class LatticePath:
         return r == 0 or (r == 1 and self.final_height == 0)
 
 
-def path_stats(path: LatticePath) -> dict:
-    return {
-        "height": path.final_height,
-        "returns": path.returns,
-        "valleys": path.valleys,
-        "triple_falls": path.triple_falls,
-    }
-
-
 class PathClassification(
     namedtuple("PathClassification", "is_dyck_path is_elevated split")
 ):

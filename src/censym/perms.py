@@ -216,10 +216,6 @@ def contains_pattern(p: Permutation, pattern) -> bool:
     return word_contains_pattern(p.values, pat.values)
 
 
-def avoids_pattern(p: Permutation, pattern) -> bool:
-    return not contains_pattern(p, pattern)
-
-
 def ltr_minima(p: Permutation) -> tuple:
     """Values of the left-to-right minima, in position order."""
     out = []

@@ -19,7 +19,8 @@ by cell with these tables by the three-route check of ``censym verify``:
 where a printed closed form is known to disagree with the combinatorially
 verified table (Q's constant term, R's missing (1+y^2) factor, the
 empty-path cells of CK and S), the mismatch is a paper discrepancy rather
-than a failure.
+than a failure.  ``DescentTable.padded_rows`` pads a table's rows with
+zeros to one width; the CSV and JSON outputs both print it.
 """
 
 from collections import namedtuple
@@ -48,18 +49,10 @@ class DescentTable(namedtuple("DescentTable", "family rows")):
 
     __slots__ = ()
 
-    @property
-    def max_n(self) -> int:
-        return len(self.rows) - 1
-
-    def cell(self, n: int, d: int) -> int:
-        if not 0 <= n < len(self.rows) or d < 0:
-            return 0
-        row = self.rows[n]
-        return row[d] if d < len(row) else 0
-
-    def width(self) -> int:
-        return max((len(row) for row in self.rows), default=0)
+    def padded_rows(self) -> list:
+        """The rows as lists, padded with zeros to the widest row's length."""
+        width = max(map(len, self.rows), default=0)
+        return [list(row) + [0] * (width - len(row)) for row in self.rows]
 
 
 def _trim_row(row):
@@ -211,10 +204,8 @@ def known_series_discrepancy(family: str, n: int, d: int) -> str | None:
 
 
 def table_to_csv(table: DescentTable) -> str:
-    r"""Render with header ``n\d,0,1,...,D`` and zero-padded rows."""
-    width = table.width()
-    lines = ["n\\d," + ",".join(str(d) for d in range(width))]
-    for n, row in enumerate(table.rows):
-        padded = list(row) + [0] * (width - len(row))
-        lines.append(f"{n}," + ",".join(str(c) for c in padded))
+    r"""Render with header ``n\d,0,1,...,D`` and the padded rows."""
+    rows = table.padded_rows()
+    lines = ["n\\d," + ",".join(str(d) for d in range(len(rows[0]) if rows else 0))]
+    lines.extend(f"{n}," + ",".join(str(c) for c in row) for n, row in enumerate(rows))
     return "\n".join(lines) + "\n"

@@ -26,13 +26,13 @@ with a bare ``yield``, and ``run_checks`` sends it one, or None once the
 group is done; before it asks again, it yields one verdict per case of
 the batch: "" when the case holds, the counterexample when it does not.
 A check on the group as a whole keeps a running count or set across the
-batches and yields its verdict once it is sent None.  A check with no
-cases at some size, such as one on even lengths only, may end before
-its group does.  A ``Whole`` verdict fails the group as a whole and
-counts no case; a ``Note`` verdict is a passing case that records a
-known paper discrepancy.  ``run_checks`` walks each domain once per
-run, one batch at a time, and sends every batch to each selected check
-on that domain.
+batches, as those that ``_count`` and ``_same_set`` build do, and yields
+its verdict once it is sent None.  A check with no cases at some size,
+such as one on even lengths only, may end before its group does.  A
+``Whole`` verdict fails the group as a whole and counts no case; a
+``Note`` verdict is a passing case that records a known paper
+discrepancy.  ``run_checks`` walks each domain once per run, one batch
+at a time, and sends every batch to each selected check on that domain.
 """
 
 from itertools import chain, islice, zip_longest
@@ -153,9 +153,16 @@ def _c123(max_n, cap, seed):
         yield 2 * n, _batches(map(_c123_record, paths.enumerate_prefixes(2 * n)))
 
 
+class _Record(tuple):
+    """(path, member, image, decomposition); a set check reads its member's values."""
+
+    __slots__ = ()
+    values = property(lambda record: record[1].values)
+
+
 def _c123_record(path):
     p = bijection.phi_inverse(path)
-    return path, p, bijection.phi(p), perms.minima_decomposition(p)
+    return _Record((path, p, bijection.phi(p), perms.minima_decomposition(p)))
 
 
 def _c123_oracle(max_n, cap, seed):
@@ -198,41 +205,36 @@ def _run(max_n, cap, seed):
     yield max_n, [(cap, seed)]
 
 
-def _counted():
-    """Take batches until the group is done; return how many members came."""
-    count = 0
-    while (members := (yield)) is not None:
-        count += len(members)
-    return count
+def _count(want, message):
+    """The check that counts a group of even size m = 2n and compares the
+    count with the closed form want(n); a group of odd size has no case.
+    Its failure is message, formatted with m, count and want."""
+
+    def check(m):
+        count = 0
+        while (members := (yield)) is not None:
+            count += len(members)
+        if m % 2 == 0:
+            expected = want(m // 2)
+            ok = count == expected
+            yield "" if ok else message.format(m=m, count=count, want=expected)
+
+    return check
 
 
-def _values():
-    """Take batches until the group is done; return the set of their values."""
-    values = set()
-    while (members := (yield)) is not None:
-        values.update(p.values for p in members)
-    return values
+def _same_set(generate, message):
+    """The check that compares the value set of a group of size m with
+    that of generate(m), called as the check runs.  Its failure is
+    message, formatted with m."""
 
+    def check(m):
+        values = set()
+        while (members := (yield)) is not None:
+            values.update(p.values for p in members)
+        ok = {p.values for p in generate(m)} == values
+        yield "" if ok else message.format(m=m)
 
-def _centro_count(m):
-    count = yield from _counted()
-    if m % 2 == 0:
-        n = m // 2
-        ok = count == 2**n * factorial(n)
-        yield "" if ok else f"|C_{m}| = {count}"
-
-
-def _count_123(m):
-    count = yield from _counted()
-    want = comb(m, m // 2)
-    yield "" if count == want else f"|C_{m}(123)| = {count}, expected {want}"
-
-
-def _count_132(m):
-    count = yield from _counted()
-    if m % 2 == 0:
-        want = 2 ** (m // 2)
-        yield "" if count == want else f"|C_{m}(132)| = {count}, expected {want}"
+    return check
 
 
 def _mirror_descents(m):
@@ -264,12 +266,6 @@ def _minima_decomposition(m):
                 yield f"decomposition does not reassemble for {p}"
             else:
                 yield ""
-
-
-def _prefix_count(m):
-    count = yield from _counted()
-    ok = count == comb(m, m // 2)
-    yield "" if ok else f"{count} prefixes of length {m}"
 
 
 def _dyck_count(m):
@@ -336,22 +332,14 @@ def _round_trip_members(m):
             yield "" if ok else f"phi_inverse(phi({p})) differs"
 
 
-def _structural_generator(m):
-    values = set()
-    while (records := (yield)) is not None:
-        values.update(p.values for _, p, _, _ in records)
-    ok = {p.values for p in bijection.generate_c123_structural(m)} == values
-    yield "" if ok else f"structural generator mismatch at 2n = {m}"
-
-
 def _final_height(m):
     while (records := (yield)) is not None:
-        for _, p, path, dec in records:
+        for _, p, image, dec in records:
             tiny = sum(dec.tiny_flags)
             half_high = all(v > m // 2 for v in perms.left_half_word(p))
-            if path.final_height != 2 * tiny:
+            if image.final_height != 2 * tiny:
                 yield f"final height != 2 tiny for {p}"
-            elif path.is_dyck_path != (tiny == 0) or (tiny == 0) != half_high:
+            elif image.is_dyck_path != (tiny == 0) or (tiny == 0) != half_high:
                 yield f"Dyck iff no tiny iff high half fails for {p}"
             else:
                 yield ""
@@ -361,9 +349,9 @@ def _components_vs_returns(m):
     """Right components number twice the returns of phi(p), plus one
     when phi(p) is not a Dyck path."""
     while (records := (yield)) is not None:
-        for _, p, path, _ in records:
+        for _, p, image, _ in records:
             components = len(perms.right_connected_components(p))
-            expected = 2 * path.returns + (not path.is_dyck_path)
+            expected = 2 * image.returns + (not image.is_dyck_path)
             yield "" if components == expected else (
                 f"component/return relation failed for {p}: "
                 f"{components} components vs {expected} expected"
@@ -372,9 +360,9 @@ def _components_vs_returns(m):
 
 def _dyck_descents(m):
     while (records := (yield)) is not None:
-        for _, p, path, _ in records:
-            if path.is_dyck_path:
-                want = 2 * (path.triple_falls + path.valleys) + 1 if m else 0
+        for _, p, image, _ in records:
+            if image.is_dyck_path:
+                want = 2 * (image.triple_falls + image.valleys) + 1 if m else 0
                 ok = perms.descent_count(p) == want
                 yield "" if ok else f"descent formula fails for {p}"
 
@@ -428,12 +416,6 @@ def _odd_123(m):
             yield ""
     if image != odd_members:
         yield Whole(f"odd embedding not onto at length {2 * m + 1}")
-
-
-def _generator_132(m):
-    values = yield from _values()
-    ok = {p.values for p in bijection.generate_c132(m)} == values
-    yield "" if ok else f"132 generator mismatch at length {m}"
 
 
 def _t_rows(max_n):
@@ -585,14 +567,18 @@ def _series_identities(max_n):
 
 
 CHECKS = (
-    ("perm", "centrosymmetric count 2^n n!", _centro, _centro_count),
-    ("perm", "123-avoiding count C(2n, n)", _c123_oracle, _count_123),
-    ("perm", "132-avoiding count 2^n", _c132, _count_132),
+    ("perm", "centrosymmetric count 2^n n!", _centro,
+     _count(lambda n: 2**n * factorial(n), "|C_{m}| = {count}")),
+    ("perm", "123-avoiding count C(2n, n)", _c123_oracle,
+     _count(lambda n: comb(2 * n, n), "|C_{m}(123)| = {count}, expected {want}")),
+    ("perm", "132-avoiding count 2^n", _c132,
+     _count(lambda n: 2**n, "|C_{m}(132)| = {count}, expected {want}")),
     ("perm", "mirror-symmetric descent sets", _centro, _mirror_descents),
     ("perm", "descents recoverable from the first half", _centro,
      _descents_from_half),
     ("perm", "minima decomposition well formed", _c123, _minima_decomposition),
-    ("path", "prefix count C(2n, n)", _prefixes, _prefix_count),
+    ("path", "prefix count C(2n, n)", _prefixes,
+     _count(lambda n: comb(2 * n, n), "{count} prefixes of length {m}")),
     ("path", "Dyck path count Catalan(n)", _prefixes, _dyck_count),
     ("path", "classification trichotomy and split", _prefixes, _classification),
     ("path", "heights, final height, returns agree", _prefixes, _heights),
@@ -601,7 +587,8 @@ CHECKS = (
     ("bijection", "round trip member -> path -> member", _c123,
      _round_trip_members),
     ("bijection", "structural generator matches inverse image", _c123,
-     _structural_generator),
+     _same_set(lambda m: bijection.generate_c123_structural(m),
+               "structural generator mismatch at 2n = {m}")),
     ("bijection", "final height 2#tiny; Dyck iff no tiny minima", _c123,
      _final_height),
     ("bijection", "right components track path returns", _c123,
@@ -615,7 +602,8 @@ CHECKS = (
     ("bijection", "odd 123 class is the lifted image of S_n(123)", _s123,
      _odd_123),
     ("bijection", "132 structural generator matches brute force", _c132,
-     _generator_132),
+     _same_set(lambda m: bijection.generate_c132(m),
+               "132 generator mismatch at length {m}")),
     ("series", "t table matches the published rows", _routes, _t_rows),
     ("series", "row sums and parity constraints", _routes, _row_sums),
     ("series", "recurrence vs series vs brute force, all families", _routes,

@@ -405,6 +405,23 @@ def test_table_csv(capsys):
     assert lines[-1] == "5,0,0,0,0,10,50,85,75,31,1"
 
 
+def test_table_outputs_are_frozen(monkeypatch, capsys):
+    # sha256 of the stdouts of `censym table --family F --max-n 6 --source S
+    # --format X`, concatenated for every family, source and format in turn
+    monkeypatch.delenv("CENSYM_MAX_ORACLE_N", raising=False)
+    digest = hashlib.sha256()
+    for family in tables.FAMILIES:
+        for source in ("recurrence", "series", "oracle"):
+            for fmt in ("csv", "json"):
+                argv = ("--family", family, "--max-n", "6", "--source", source)
+                code, out, err = run(capsys, "table", *argv, "--format", fmt)
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "25887c9ab3a68543f8446c66e36503ef43bdf05e10063aec33c6d855a7fe6cf9"
+    )
+
+
 def test_table_sources_agree(capsys):
     outputs = []
     for source in ("recurrence", "series", "oracle"):

@@ -9,7 +9,6 @@ from censym.paths import (
     LatticePath,
     classify,
     enumerate_prefixes,
-    path_stats,
 )
 from tests.reference import dyck_prefixes
 
@@ -122,12 +121,3 @@ def test_enumerate_validation():
 
 def test_composite_split_reassembles(catalogue):
     assert catalogue(5, "classification trichotomy and split").ok
-
-
-def test_path_stats():
-    assert path_stats(LatticePath("UUUDDDUU")) == {
-        "height": 2,
-        "returns": 1,
-        "valleys": 1,
-        "triple_falls": 1,
-    }

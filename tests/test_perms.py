@@ -9,7 +9,6 @@ from censym.perms import (
     Permutation,
     _backtrack_contains,
     _walk_blocks,
-    avoids_pattern,
     contains_pattern,
     descent_count,
     descent_set,
@@ -26,7 +25,7 @@ from censym.perms import (
     word_contains_pattern,
 )
 
-from censym.bijection import generate_c123_even
+from censym.oracle import ClassSpec, enumerate_class
 from tests.paper import PHI_FIGURE
 from tests.reference import (
     centrosymmetric_by_pairs,
@@ -46,6 +45,11 @@ from tests.reference import (
 perms_upto = lambda m: st.integers(1, m).flatmap(
     lambda k: st.permutations(range(1, k + 1))
 )
+
+
+def c123(length):
+    """C_length(123) by brute force."""
+    return enumerate_class(ClassSpec(length, centrosymmetric=True, avoid=(1, 2, 3)))
 
 
 def test_validation_rejects_garbage():
@@ -151,7 +155,6 @@ def test_contains_pattern_matches_brute_force(values, pattern):
     p = Permutation(tuple(values))
     expected = _brute_contains(p.values, tuple(pattern))
     assert contains_pattern(p, tuple(pattern)) == expected
-    assert avoids_pattern(p, tuple(pattern)) == (not expected)
 
 
 def test_ltr_minima():
@@ -253,7 +256,7 @@ def test_minima_decomposition_of_figure_member():
 
 def test_tiny_flags_are_lower_medians():
     for n in range(7):
-        for p in generate_c123_even(2 * n):
+        for p in c123(2 * n):
             dec = minima_decomposition(p)
             medians = map(lower_median, paper_alphabets(p))
             assert dec.tiny_flags == tuple(x == m for x, m in zip(minima(dec), medians))
@@ -262,7 +265,7 @@ def test_tiny_flags_are_lower_medians():
 def test_walk_ranks_match_the_alphabets():
     # rank is x's rank in A_{i-1} and n is half its size, by the definition
     for n in range(7):
-        for p in generate_c123_even(2 * n):
+        for p in c123(2 * n):
             walk = list(_walk_blocks(p.values[:n]))
             alphabets = paper_alphabets(p)
             assert len(walk) == len(alphabets) - 1
@@ -293,6 +296,6 @@ def test_stats_record():
     }
     assert stats(Permutation((1, 2, 3)))["tiny_minima"] is None
     for n in range(6):
-        for p in generate_c123_even(2 * n):
+        for p in c123(2 * n):
             tiny = list(tiny_values(minima_decomposition(p)))
             assert stats(p)["tiny_minima"] == tiny

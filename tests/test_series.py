@@ -395,21 +395,21 @@ def test_recurrence_tables_match_frozen_rows():
 
 def test_binomial_tables():
     q = table("recurrence", "q", 4)
-    assert q.cell(3, 2) == comb(2, 1)
+    assert q.rows[3][2] == comb(2, 1)
     assert sum(q.rows[4]) == 2**4
     r = table("recurrence", "r", 4)
-    assert r.cell(3, 4) == comb(3, 2)
-    assert r.cell(3, 3) == 0
+    assert r.rows[3][4] == comb(3, 2)
+    assert r.rows[3][3] == 0
     assert sum(r.rows[4]) == 2**4
 
 
 def test_v_table_shifts_eulerian_rows():
-    v = table("recurrence", "v", 6)
+    rows = table("recurrence", "v", 6).padded_rows()
     for n in range(1, 7):
         for k, c in enumerate(E_ROWS[n]):
-            assert v.cell(n, 2 * k + 2) == c
-        assert v.cell(n, 0) == 0
-        assert all(v.cell(n, d) == 0 for d in range(1, 2 * n + 1, 2))
+            assert rows[n][2 * k + 2] == c
+        assert rows[n][0] == 0
+        assert all(rows[n][d] == 0 for d in range(1, 2 * n + 1, 2))
 
 
 def test_oracle_table_small():
@@ -474,7 +474,7 @@ def test_known_discrepancy_cells():
     assert known_series_discrepancy("t", 0, 0) is None
     s = table("series", "q", 3)
     rec = table("recurrence", "q", 3)
-    assert s.cell(0, 0) == 0 and rec.cell(0, 0) == 1
+    assert s.rows[0] == (0,) and rec.rows[0] == (1,)
     assert s.rows[1:] == rec.rows[1:]
 
 

@@ -35,6 +35,32 @@ def test_mirror_check_matches_the_set_form():
         assert (tally.passed, tally.count, tally.detail) == (ok, 1, detail), values
 
 
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        ("centrosymmetric count 2^n n!", "|C_4| = 7"),
+        ("123-avoiding count C(2n, n)", "|C_4(123)| = 5, expected 6"),
+        ("132-avoiding count 2^n", "|C_4(132)| = 3, expected 4"),
+        ("prefix count C(2n, n)", "5 prefixes of length 4"),
+        # the last prefix of length 4 is the Dyck path UDUD
+        ("Dyck path count Catalan(n)", "1 Dyck paths of length 4"),
+        ("structural generator matches inverse image",
+         "structural generator mismatch at 2n = 4"),
+        ("132 structural generator matches brute force",
+         "132 generator mismatch at length 4"),
+    ],
+)
+def test_group_checks_fail_a_group_short_of_one(name, detail):
+    # the entry's own domain at size 4, with its last member dropped
+    ((_, _, domain, check),) = [entry for entry in CHECKS if entry[1] == name]
+    group = next(batches for size, batches in domain(2, 4, 0) if size == 4)
+    members = [member for batch in group for member in batch][:-1]
+    tally, running = verify.Check(name, True), check(4)
+    for batch in (None, members, None):
+        tally.feed(running, batch, [])
+    assert (tally.passed, tally.count, tally.detail) == (False, 1, detail)
+
+
 def test_member_domains_stream_their_groups(catalogue):
     # C_12 has 46080 members: held as one list they peaked at 9.8 MiB, and
     # streamed they peak at 1.4-2 MiB
