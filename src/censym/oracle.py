@@ -39,7 +39,14 @@ one containment test on the whole permutation decides membership at
 every leaf; the summaries only decide where the search cuts.
 
 The k, ck and g subclasses are read off the permutation alone (see
-_subclass_match), so this module imports nothing but perms.
+_subclass_match), so this module imports nothing but perms.  A subclass
+search cuts where its definition decides early.  A k or ck half holds
+only values above n, the upper half of each frame's free values, so its
+frames start there.  A ck or g member has no right component ending
+before n, and one ends with a half of length i exactly when its least
+value lo is m+1-i, so such a frame is cut next to the 123 cut.  The cuts
+drop only branches without members, so a subclass comes out in the order
+of its class, and _subclass_match still decides each leaf.
 """
 
 import os
@@ -139,9 +146,13 @@ def _check_cap(spec: ClassSpec):
         )
 
 
-def _centro_members(length: int, avoid):
+def _centro_members(length: int, avoid, subclass=None):
     """Centrosymmetric permutations from first-half choices, filtered, each
-    yielded as soon as the search reaches it, in lexicographic order."""
+    yielded as soon as the search reaches it, in lexicographic order.
+
+    A subclass only cuts branches that hold none of its members; the
+    caller still decides each leaf with _subclass_match.
+    """
     n = length // 2
     top = length + 1  # a complement pair is {v, top - v}
     middle = [n + 1] if length % 2 else []
@@ -151,6 +162,8 @@ def _centro_members(length: int, avoid):
         return
     flip = avoid == (3, 2, 1)  # 321 in v is 123 in top - v
     summaries = flip or avoid == (1, 2, 3)
+    high = subclass in ("k", "ck")  # the half takes only the upper free values
+    single = subclass in ("ck", "g")  # no right component ends before n
 
     def known_words_contain(free):
         return word_contains_pattern((*half, *middle, *mirror), avoid) or any(
@@ -161,7 +174,8 @@ def _centro_members(length: int, avoid):
     mirror = deque()  # top - w for w in reversed(half)
     # a frame: the half's free values (sorted, closed under complement),
     # the index of the next one to try, and the half's two 123 summaries
-    stack = [[[v for v in range(1, top) if v not in middle], 0, inf, inf]]
+    free = [v for v in range(1, top) if v not in middle]
+    stack = [[free, n if high else 0, inf, inf]]
     while stack:
         frame = stack[-1]
         free, i, lo, s = frame
@@ -196,6 +210,10 @@ def _centro_members(length: int, avoid):
                 or free[h - 2 if a == h - 1 else h - 1] > lo
             ):
                 continue
+            # a right component ends with the half, at n + 1 - h, when lo is
+            # top - (n + 1 - h); ck and g have no such end before n
+            if single and h > 1 and lo == n + h:
+                continue
         if size == 2:  # v ends the half: a leaf
             word = (*half, v, *middle, top - v, *mirror)
             if avoid is None or not word_contains_pattern(word, avoid):
@@ -205,7 +223,7 @@ def _centro_members(length: int, avoid):
         half.append(v)
         mirror.appendleft(top - v)
         if avoid is None or summaries or not known_words_contain(child):
-            stack.append([child, 0, lo, s])
+            stack.append([child, size // 2 - 1 if high else 0, lo, s])
             continue
         half.pop()
         mirror.popleft()
@@ -239,8 +257,10 @@ def _subclass_match(p: Permutation, name: str) -> bool:
 def enumerate_class(spec: ClassSpec):
     """Members of the class, in a deterministic (lexicographic) order."""
     _check_cap(spec)
-    search = _centro_members if spec.centrosymmetric else _general_members
-    members = search(spec.length, spec.avoid)
+    if spec.centrosymmetric:
+        members = _centro_members(spec.length, spec.avoid, spec.subclass)
+    else:
+        members = _general_members(spec.length, spec.avoid)
     if spec.subclass is None:
         yield from members
     else:

@@ -145,26 +145,43 @@ def _series_rows(families, max_n):
     return {f: named[_FAMILY_ROUTES[f][0]].coeffs for f in families}
 
 
+# the narrowest oracle subclass that holds every member of these families
+_NARROWEST = {
+    frozenset({"k"}): "k",
+    frozenset({"k", "ck"}): "k",
+    frozenset({"ck"}): "ck",
+    frozenset({"g"}): "g",
+}
+
+
 def _oracle_rows(families, max_n):
-    """Histograms of the requested families: each class is enumerated once
-    per n, and a member counts for every requested family it is in."""
+    """Histograms of the requested families: per n, each class is enumerated
+    once, as the narrowest subclass that holds every family asked of it,
+    and a member counts for every requested family it is in."""
     by_class = {}
     for f in families:
         by_class.setdefault(_FAMILY_ROUTES[f][1:], []).append(f)
+    subclass = {key: _NARROWEST.get(frozenset(fs)) for key, fs in by_class.items()}
 
-    def spec(n, offset, pattern):
-        return oracle.ClassSpec(2 * n + offset, centrosymmetric=True, avoid=pattern)
+    def spec(n, key):
+        offset, pattern = key
+        return oracle.ClassSpec(2 * n + offset, True, pattern, subclass[key])
 
     for key in by_class:
-        oracle._check_cap(spec(max_n, *key))
+        oracle._check_cap(spec(max_n, key))
     rows = {f: [] for f in families}
     for n in range(max_n + 1):
         for key, members_of in by_class.items():
+            matched = subclass[key]  # enumerate_class has matched it already
             for f in members_of:
                 rows[f].append([0] * (2 * n + 2))  # room for 2n + 1 descents
-            for p in oracle.enumerate_class(spec(n, *key)):
+            for p in oracle.enumerate_class(spec(n, key)):
                 for f in members_of:
-                    if f not in oracle.SUBCLASSES or oracle._subclass_match(p, f):
+                    if (
+                        f not in oracle.SUBCLASSES
+                        or f == matched
+                        or oracle._subclass_match(p, f)
+                    ):
                         rows[f][n][descent_count(p)] += 1
     return rows
 

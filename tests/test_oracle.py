@@ -18,7 +18,7 @@ from censym.oracle import (
 )
 from censym.paths import classify
 from censym.perms import contains_pattern, is_centrosymmetric, word_contains_pattern
-from censym.tables import descent_tables
+from censym.tables import FAMILIES, descent_tables
 
 from tests.paper import C6_132, C7_132
 from tests.reference import centro_avoiders, lis_length
@@ -117,6 +117,15 @@ def test_subclasses_partition_the_class():
         assert parts["ck"] <= parts["k"]
         for p in whole:
             assert {name for name in parts if p in parts[name]} == _phi_subclasses(p)
+
+
+def test_subclasses_come_out_in_the_order_of_the_class():
+    for length in range(0, 15, 2):
+        whole = list(enumerate_class(ClassSpec(length, True, (1, 2, 3))))
+        for name in censym.oracle.SUBCLASSES:
+            got = list(enumerate_class(ClassSpec(length, True, (1, 2, 3), name)))
+            want = [p for p in whole if censym.oracle._subclass_match(p, name)]
+            assert got == want, (length, name)
 
 
 def test_search_leaves_no_cyclic_garbage():
@@ -297,6 +306,28 @@ def test_search_yields_before_the_class_is_built(containment_calls):
     first = next(enumerate_class(spec))
     assert first.values == (8, 7, 6, 5, 4, 3, 2, 1, 16, 15, 14, 13, 12, 11, 10, 9)
     assert len(containment_calls) < 10 < comb(16, 8)
+
+
+def test_subclass_cuts_leave_fewer_leaves(containment_calls):
+    # k and ck take only values above n in the half, so every leaf is a
+    # member (Catalan 6 and 5); ck and g cut a right component ending
+    # before n; composite has no cut and reaches all C(12, 6) leaves
+    leaves = {}
+    for name in censym.oracle.SUBCLASSES:
+        containment_calls.clear()
+        list(enumerate_class(ClassSpec(12, True, (1, 2, 3), name)))
+        leaves[name] = len(containment_calls)
+    assert (leaves["k"], leaves["ck"], leaves["composite"]) == (132, 42, 924)
+    assert leaves["g"] < 924
+
+
+@pytest.mark.parametrize(
+    "families", [("k",), ("ck",), ("g",), ("k", "ck")], ids="-".join
+)
+def test_subclass_tables_equal_the_shared_walk(families):
+    shared = descent_tables("oracle", FAMILIES, 7)
+    alone = descent_tables("oracle", families, 7)
+    assert alone == {f: shared[f] for f in families}
 
 
 def test_k_table_counts_no_components(monkeypatch):
