@@ -72,7 +72,7 @@ def _cmd_enumerate(args) -> int:
     spec = oracle.ClassSpec(
         args.len,
         centrosymmetric=args.centro,
-        avoid=_parse_pattern(args.avoid) if args.avoid else None,
+        avoid=None if args.avoid is None else _parse_pattern(args.avoid),
         subclass=args.subclass,
     )
     members = oracle.enumerate_class(spec)  # lines and csv print as it goes

@@ -33,20 +33,43 @@ s < top - lo (an occurrence across the half and its mirror) or some x
 between them has x > s or lo < x < top - lo; the free values are sorted
 and closed under complement, so that is a test of two of them and the
 middle.  321 is the same test on top - v, since the complement maps the
-free values and the mirror onto themselves.  Other patterns test the
-known words with perms.word_contains_pattern.  Whatever the pattern, the
-one containment test on the whole permutation decides membership at
-every leaf; the summaries only decide where the search cuts.
+free values and the mirror onto themselves.
+
+For 132 each frame keeps three numbers: lo; g, the least value above lo
+that the half lacks; and d, the least value of the half with a smaller
+value after it.  While the known words avoid 132, the half holds the
+values from lo to g - 1, and from d to top - 1 when d > g.  So a new
+value u > lo is cut unless it is g (lo, u, g is an occurrence, since g
+comes after the half in every completion); u = g keeps lo and d and
+moves g to g + 1, or to top when g + 1 is d.  A new u < lo is cut when
+u + lo < top (u, top - u, top - lo); otherwise lo becomes u, d becomes
+the old lo, and g becomes u + 1 unless that is the old lo.  With y the
+least value left between the half and its mirror, the node is then cut
+when y + d < top (y, top - e, top - d for an e < d after d) or
+y < lo < top - lo (lo, top - y, top - lo).  Every other occurrence the
+parent's words lack passes through two of u, x and top - u; each of the
+seven ways that can happen implies one of these four cuts, so the cut is
+exact.  213 is the reverse-complement of 132, which maps half + [x] +
+mirror to half + [top - x] + mirror, so the known words contain 213
+exactly when they contain 132 and the search cuts 213 the same way;
+312 and 231 take the same cuts on top - v.
+
+Other patterns test the known words with perms.word_contains_pattern.
+Whatever the pattern, the one containment test on the whole permutation
+decides membership at every leaf; the summaries only decide where the
+search cuts.
 
 The k, ck and g subclasses are read off the permutation alone (see
 _subclass_match), so this module imports nothing but perms.  A subclass
 search cuts where its definition decides early.  A k or ck half holds
 only values above n, the upper half of each frame's free values, so its
 frames start there.  A ck or g member has no right component ending
-before n, and one ends with a half of length i exactly when its least
-value lo is m+1-i, so such a frame is cut next to the 123 cut.  The cuts
-drop only branches without members, so a subclass comes out in the order
-of its class, and _subclass_match still decides each leaf.
+before n, nor a g member one ending at n, since its half is not all
+above n.  One ends with a half of length i exactly when its least value
+lo is m+1-i, so such a frame, or for g such a leaf, is cut next to the
+123 cut.  The cuts drop only branches without members, so a subclass
+comes out in the order of its class, and _subclass_match still decides
+each leaf.
 """
 
 import os
@@ -160,10 +183,14 @@ def _centro_members(length: int, avoid, subclass=None):
         if avoid is None or not word_contains_pattern(middle, avoid):
             yield Permutation._trusted(middle)
         return
-    flip = avoid == (3, 2, 1)  # 321 in v is 123 in top - v
-    summaries = flip or avoid == (1, 2, 3)
+    cut123 = avoid in ((1, 2, 3), (3, 2, 1))  # the search cuts by 123 summaries
+    cut132 = avoid in ((1, 3, 2), (2, 1, 3), (3, 1, 2), (2, 3, 1))  # by 132 summaries
+    flip = avoid in ((3, 2, 1), (3, 1, 2), (2, 3, 1))  # the summaries read top - v
     high = subclass in ("k", "ck")  # the half takes only the upper free values
-    single = subclass in ("ck", "g")  # no right component ends before n
+    # ck and g have no right component ending before n, and g none at n; one
+    # ends at n + 1 - h, so ck cuts from h = 2 and g from h = 1
+    single = subclass in ("ck", "g")
+    least_h = 1 if subclass == "g" else 2
 
     def known_words_contain(free):
         return word_contains_pattern((*half, *middle, *mirror), avoid) or any(
@@ -173,9 +200,10 @@ def _centro_members(length: int, avoid, subclass=None):
     half = []
     mirror = deque()  # top - w for w in reversed(half)
     # a frame: the half's free values (sorted, closed under complement),
-    # the index of the next one to try, and the half's two 123 summaries
+    # the index of the next one to try, and the half's summaries: lo and s
+    # for 123, lo and the pair (g, d) for 132
     free = [v for v in range(1, top) if v not in middle]
-    stack = [[free, n if high else 0, inf, inf]]
+    stack = [[free, n if high else 0, inf, (inf, inf) if cut132 else inf]]
     while stack:
         frame = stack[-1]
         free, i, lo, s = frame
@@ -190,7 +218,7 @@ def _centro_members(length: int, avoid, subclass=None):
         v = free[i]
         j = size - 1 - i  # free[j] == top - v
         a, b = (i, j) if i < j else (j, i)  # indices of the pair's lower, upper value
-        if summaries:
+        if cut123:
             u = top - v if flip else v
             if u > s:  # half + [u] contains 123
                 continue
@@ -211,9 +239,32 @@ def _centro_members(length: int, avoid, subclass=None):
             ):
                 continue
             # a right component ends with the half, at n + 1 - h, when lo is
-            # top - (n + 1 - h); ck and g have no such end before n
-            if single and h > 1 and lo == n + h:
+            # top - (n + 1 - h)
+            if single and h >= least_h and lo == n + h:
                 continue
+        elif cut132:
+            u = top - v if flip else v
+            g, d = s
+            if u > lo:
+                if u != g:  # lo, u, g
+                    continue
+                g = top if g + 1 == d else g + 1  # the half holds d to top - 1
+            elif u + lo < top:  # u, top - u, top - lo
+                continue
+            else:
+                if u + 1 < lo:
+                    g = u + 1
+                lo, d = u, lo
+            # y is the least value left between the half and its mirror, top
+            # for none: y, top - e, top - d for an e < d after d in the half,
+            # or lo, top - y, top - lo
+            if size > 2:
+                y = free[1 if a == 0 else 0]
+            else:
+                y = middle[0] if middle else top
+            if y + d < top or y < lo < top - lo:
+                continue
+            s = (g, d)
         if size == 2:  # v ends the half: a leaf
             word = (*half, v, *middle, top - v, *mirror)
             if avoid is None or not word_contains_pattern(word, avoid):
@@ -222,7 +273,7 @@ def _centro_members(length: int, avoid, subclass=None):
         child = free[:a] + free[a + 1 : b] + free[b + 1 :]
         half.append(v)
         mirror.appendleft(top - v)
-        if avoid is None or summaries or not known_words_contain(child):
+        if avoid is None or cut123 or cut132 or not known_words_contain(child):
             stack.append([child, size // 2 - 1 if high else 0, lo, s])
             continue
         half.pop()

@@ -42,23 +42,37 @@ def dyck_prefixes(length: int) -> list:
     ]
 
 
+def contains_pattern3(word, pattern) -> bool:
+    """Does the word contain the length-3 pattern (a, b, c)?  Some value y
+    of the word plays b: a value before y must sit against y as a against
+    b, a value after y as c against b, and the two against each other as a
+    against c, so the least or the greatest of each side decides."""
+    a, b, c = pattern
+    for j, y in enumerate(word):
+        before = [x for x in word[:j] if (x < y) == (a < b)]
+        after = [z for z in word[j + 1 :] if (z < y) == (c < b)]
+        if before and after and (
+            min(before) < max(after) if a < c else max(before) > min(after)
+        ):
+            return True
+    return False
+
+
 def centro_avoiders(length: int, pattern=None) -> list:
     """Value tuples of the centrosymmetric permutations of the length that
-    avoid 123 or 321 (all of them for pattern None), in lexicographic
-    order, from every half choice with no pruning.  A word avoids 321 when
-    its complement avoids 123."""
+    avoid the length-3 pattern (all of them for pattern None), in
+    lexicographic order, from every half choice with no pruning: an order
+    of the complement pairs {k, top - k}, k <= n, and one value of each."""
     n, top = length // 2, length + 1
     middle = (n + 1,) if length % 2 else ()
-    if pattern is not None:
-        flip = {(1, 2, 3): False, (3, 2, 1): True}[tuple(pattern)]
     out = []
-    for half in permutations([v for v in range(1, top) if v not in middle], n):
-        if len({min(v, top - v) for v in half}) < n:
-            continue  # the half holds both values of a complement pair
-        word = half + middle + tuple(top - v for v in reversed(half))
-        if pattern is None or lis_length([top - v for v in word] if flip else word) < 3:
-            out.append(word)
-    return out
+    for pairs in permutations(range(1, n + 1)):
+        for uppers in product((False, True), repeat=n):
+            half = tuple(top - k if up else k for k, up in zip(pairs, uppers))
+            word = half + middle + tuple(top - v for v in reversed(half))
+            if pattern is None or not contains_pattern3(word, pattern):
+                out.append(word)
+    return sorted(out)
 
 
 # the perms statistics by index loops, a second route to each of them

@@ -380,6 +380,14 @@ def test_enumerate_non_digit_pattern(capsys):
     assert "not a pattern: '12a'" in err
 
 
+def test_enumerate_empty_pattern(capsys):
+    # an empty --avoid is a bad pattern, not a missing one
+    code, out, err = run(capsys, "enumerate", "--len", "3", "--avoid", "")
+    assert code == 3
+    assert out == ""
+    assert "not a pattern: ''" in err
+
+
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--len", "12")
     assert code == 3
