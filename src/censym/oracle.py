@@ -67,9 +67,9 @@ frames start there.  A ck or g member has no right component ending
 before n, nor a g member one ending at n, since its half is not all
 above n.  One ends with a half of length i exactly when its least value
 lo is m+1-i, so such a frame, or for g such a leaf, is cut next to the
-123 cut.  The cuts drop only branches without members, so a subclass
-comes out in the order of its class, and _subclass_match still decides
-each leaf.
+123 cut.  At length 0 only k holds the empty permutation.  The cuts drop
+only branches without members, so a subclass comes out in the order of
+its class, and _subclass_match still decides each leaf.
 """
 
 import os
@@ -179,8 +179,10 @@ def _centro_members(length: int, avoid, subclass=None):
     n = length // 2
     top = length + 1  # a complement pair is {v, top - v}
     middle = [n + 1] if length % 2 else []
-    if n == 0:
-        if avoid is None or not word_contains_pattern(middle, avoid):
+    if n == 0:  # the empty permutation is in k and in no other subclass
+        if subclass in (None, "k") and (
+            avoid is None or not word_contains_pattern(middle, avoid)
+        ):
             yield Permutation._trusted(middle)
         return
     cut123 = avoid in ((1, 2, 3), (3, 2, 1))  # the search cuts by 123 summaries

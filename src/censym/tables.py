@@ -10,36 +10,38 @@ Families index descent histograms by (n, d):
   ck  members of k whose path image is elevated
   g   members of t whose path image is an elevated proper prefix
 
-``descent_tables`` builds the requested families' tables by one route,
-and what they share once per call.  The recurrence tables are the
-normative output; their rows are y-polynomials on the series module's
-kernel, and they never read a closed form (only _series_rows does).  The
-closed-form series and the oracle are verification inputs, compared cell
-by cell with these tables by the three-route check of ``censym verify``:
-where a printed closed form is known to disagree with the combinatorially
-verified table (Q's constant term, R's missing (1+y^2) factor, the
-empty-path cells of CK and S), the mismatch is a paper discrepancy rather
-than a failure.  ``DescentTable.padded_rows`` pads a table's rows with
-zeros to one width; the CSV and JSON outputs both print it.
+``descent_tables`` builds the requested families' tables by one route.
+The recurrence and series routes build what the families share once per
+call; the oracle searches each family's own class, cut to its subclass
+for k, ck and g.  The recurrence tables are the normative output; their
+rows are y-polynomials on the series module's kernel, and they never
+read a closed form (only _series_rows does).  The closed-form series and
+the oracle are verification inputs, compared cell by cell with these
+tables by the three-route check of ``censym verify``: where a printed
+closed form is known to disagree with the combinatorially verified table
+(Q's constant term, R's missing (1+y^2) factor, the empty-path cells of
+CK and S), the mismatch is a paper discrepancy rather than a failure.
+``DescentTable.padded_rows`` pads a table's rows with zeros to one width;
+the CSV and JSON outputs both print it.
 """
 
 from collections import namedtuple
 from math import comb
 
 from . import oracle
-from .perms import descent_count
 from .series import NamedSeries, _padd, _pdot, _pmul, _pshift, _psub, _trim
 
-# family: (its named series, length offset, pattern); its members of size
-# n are in C_2n+offset(pattern), and k, ck and g are subclasses of C_2n(123)
+# family: (its named series, length offset, pattern, oracle subclass); its
+# members of size n are the oracle class C_2n+offset(pattern), cut to the
+# subclass unless that is None
 _FAMILY_ROUTES = {
-    "q": ("Q", 0, (1, 3, 2)),
-    "r": ("R", 1, (1, 3, 2)),
-    "v": ("V", 1, (1, 2, 3)),
-    "k": ("K", 0, (1, 2, 3)),
-    "ck": ("CK", 0, (1, 2, 3)),
-    "g": ("S", 0, (1, 2, 3)),
-    "t": ("T", 0, (1, 2, 3)),
+    "q": ("Q", 0, (1, 3, 2), None),
+    "r": ("R", 1, (1, 3, 2), None),
+    "v": ("V", 1, (1, 2, 3), None),
+    "k": ("K", 0, (1, 2, 3), "k"),
+    "ck": ("CK", 0, (1, 2, 3), "ck"),
+    "g": ("S", 0, (1, 2, 3), "g"),
+    "t": ("T", 0, (1, 2, 3), None),
 }
 FAMILIES = tuple(_FAMILY_ROUTES)
 
@@ -145,44 +147,20 @@ def _series_rows(families, max_n):
     return {f: named[_FAMILY_ROUTES[f][0]].coeffs for f in families}
 
 
-# the narrowest oracle subclass that holds every member of these families
-_NARROWEST = {
-    frozenset({"k"}): "k",
-    frozenset({"k", "ck"}): "k",
-    frozenset({"ck"}): "ck",
-    frozenset({"g"}): "g",
-}
-
-
 def _oracle_rows(families, max_n):
-    """Histograms of the requested families: per n, each class is enumerated
-    once, as the narrowest subclass that holds every family asked of it,
-    and a member counts for every requested family it is in."""
-    by_class = {}
+    """Histograms of the requested families: per n, one search of each
+    family's own class, cut to its subclass for k, ck and g."""
+
+    def spec(family, n):
+        _, offset, pattern, subclass = _FAMILY_ROUTES[family]
+        return oracle.ClassSpec(2 * n + offset, True, pattern, subclass)
+
     for f in families:
-        by_class.setdefault(_FAMILY_ROUTES[f][1:], []).append(f)
-    subclass = {key: _NARROWEST.get(frozenset(fs)) for key, fs in by_class.items()}
-
-    def spec(n, key):
-        offset, pattern = key
-        return oracle.ClassSpec(2 * n + offset, True, pattern, subclass[key])
-
-    for key in by_class:
-        oracle._check_cap(spec(max_n, key))
-    rows = {f: [] for f in families}
-    for n in range(max_n + 1):
-        for key, members_of in by_class.items():
-            matched = subclass[key]  # enumerate_class has matched it already
-            for f in members_of:
-                rows[f].append([0] * (2 * n + 2))  # room for 2n + 1 descents
-            for p in oracle.enumerate_class(spec(n, key)):
-                for f in members_of:
-                    if (
-                        f not in oracle.SUBCLASSES
-                        or f == matched
-                        or oracle._subclass_match(p, f)
-                    ):
-                        rows[f][n][descent_count(p)] += 1
+        oracle._check_cap(spec(f, max_n))
+    rows = {}
+    for f in families:
+        hists = (oracle.descent_histogram(spec(f, n)) for n in range(max_n + 1))
+        rows[f] = [[h.get(d, 0) for d in range(max(h, default=0) + 1)] for h in hists]
     return rows
 
 

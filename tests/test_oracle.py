@@ -293,15 +293,20 @@ def containment_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("pattern", PATTERNS3, ids=lambda p: "".join(map(str, p)))
-def test_summaries_cut_exactly(containment_calls, pattern):
-    # the summaries cut every branch without members, so each leaf the
-    # search reaches is a member and the final filter runs once
-    for length in range(15):
-        spec = ClassSpec(length, centrosymmetric=True, avoid=pattern)
+@pytest.mark.parametrize(
+    "pattern, subclass",
+    [(p, None) for p in PATTERNS3] + [((1, 2, 3), s) for s in ("k", "ck", "g")],
+    ids=["".join(map(str, p)) for p in PATTERNS3] + ["k", "ck", "g"],
+)
+def test_summaries_cut_exactly(containment_calls, pattern, subclass):
+    # the summaries and the subclass cuts cut every branch without members,
+    # so each leaf the search reaches is a member and the final filter runs
+    # once; the subclasses are defined at even lengths only
+    for length in range(0, 15, 1 if subclass is None else 2):
+        spec = ClassSpec(length, True, pattern, subclass)
         containment_calls.clear()
         members = sum(1 for _ in enumerate_class(spec))
-        assert len(containment_calls) == members, (pattern, length)
+        assert len(containment_calls) == members, (pattern, subclass, length)
 
 
 def test_search_yields_before_the_class_is_built(containment_calls):
@@ -328,9 +333,19 @@ def test_subclass_cuts_leave_fewer_leaves(containment_calls):
     "families", [("k",), ("ck",), ("g",), ("k", "ck")], ids="-".join
 )
 def test_subclass_tables_equal_the_shared_walk(families):
+    # a subclass family asked alone, or with another, gives the table
+    # that the oracle gives for it when every family is asked
     shared = descent_tables("oracle", FAMILIES, 7)
     alone = descent_tables("oracle", families, 7)
     assert alone == {f: shared[f] for f in families}
+
+
+def test_oracle_tables_equal_the_recurrence_at_n_7():
+    # n = 7: lengths 14 for k, ck and g, 15 for v
+    families = ("v", "k", "ck", "g")
+    assert descent_tables("oracle", families, 7) == descent_tables(
+        "recurrence", families, 7
+    )
 
 
 def test_k_table_counts_no_components(monkeypatch):

@@ -181,18 +181,30 @@ def test_three_routes_build_what_families_share_once(monkeypatch):
     for name in ("K", "T"):
         builder = counted(series._BUILDERS[name], lambda order, named, name=name: name)
         monkeypatch.setitem(series._BUILDERS, name, builder)
-    classes = counted(oracle.enumerate_class, lambda spec: (spec.length, spec.avoid))
+    classes = counted(
+        oracle.enumerate_class, lambda spec: (spec.length, spec.avoid, spec.subclass)
+    )
     monkeypatch.setattr(oracle, "enumerate_class", classes)
     (report,) = run_suite("series", 6)
     assert report.ok
     # one build of each route for all the table checks: the k, ck and g, t
-    # recurrences, series K and T, and the classes C_m(123) and C_m(132)
-    # for the lengths m = 2n and 2n + 1, n <= 6; the identities check
-    # builds series K and T once more, from its own NamedSeries
-    patterns = ((1, 2, 3), (1, 3, 2))
+    # recurrences and series K and T; the identities check builds series K
+    # and T once more, from its own NamedSeries.  The oracle searches each
+    # family's own class once per n <= 6: t, k, ck and g in C_2n(123), q in
+    # C_2n(132), v in C_2n+1(123) and r in C_2n+1(132)
+    c123, c132 = (1, 2, 3), (1, 3, 2)
     assert calls == Counter(
         ["_tables_k_ck", "_tables_g_t", "K", "T", "K", "T"]
-        + [(m, p) for m in range(14) for p in patterns]
+        + [
+            key
+            for n in range(7)
+            for key in (
+                *((2 * n, c123, s) for s in (None, "k", "ck", "g")),
+                (2 * n, c132, None),
+                (2 * n + 1, c123, None),
+                (2 * n + 1, c132, None),
+            )
+        ]
     )
 
 
