@@ -29,7 +29,6 @@ from .paths import (
 )
 from .perms import (
     InvalidPermutation,
-    MinimaDecomposition,
     Permutation,
     contains_pattern,
     descent_count,
@@ -37,7 +36,6 @@ from .perms import (
     is_centrosymmetric,
     left_half_word,
     ltr_minima,
-    minima_decomposition,
     parse_permutation,
     right_connected_components,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "InvalidPath",
     "InvalidPermutation",
     "LatticePath",
-    "MinimaDecomposition",
     "NAMED_SERIES",
     "NamedSeries",
     "Permutation",
@@ -76,7 +73,6 @@ __all__ = [
     "is_centrosymmetric",
     "left_half_word",
     "ltr_minima",
-    "minima_decomposition",
     "odd_embed",
     "odd_project",
     "parse_permutation",

@@ -18,11 +18,12 @@ removed with their complements.  It is closed under complement, so its
 live values above n fix it: perms._UpperValues keeps them descending, as
 a deque followed by an untouched run.  A value's rank among the live
 values is its renormalized value, and it is read off its position there.
-phi reads its blocks from perms._walk_blocks, the block walk that the
-minima decomposition uses too.  A block takes its values from the front
-of the live upper values, from the run, or from the deque's far end, so
-phi and phi_inverse take O(n) time and no recursion: a round trip at
-2n = 10^5 takes about 0.3 s on a 2-vCPU host.
+phi reads its blocks from perms._walk_blocks, the block walk that
+perms.stats uses too, and phi_trace is the public record of that walk.
+A block takes its values from the front of the live upper values, from
+the run, or from the deque's far end, so phi and phi_inverse take O(n)
+time and no recursion: a round trip at 2n = 10^5 takes about 0.3 s on a
+2-vCPU host.
 """
 
 from collections import namedtuple
@@ -46,11 +47,16 @@ from .paths import InvalidPath, LatticePath
 class PhiBlock(namedtuple("PhiBlock", "minimum word tiny emitted deleted")):
     """One minima-decomposition block together with its emitted steps.
 
-    minimum is the block's left-to-right minimum, word the tuple of values
-    after it, tiny whether the minimum is tiny, and emitted its U/D steps.
-    deleted is the number of leading steps removed from the recursive
-    remainder path at this block's level: k-l-1 when the block is not tiny
-    and k-l-2 when it is, with k computed at that level.
+    The first half of a member of length 2n factors as x_1 w_1 ... x_s w_s,
+    where the x_i are its left-to-right minima.  Alphabet A_0 = {1..2n};
+    A_i removes from A_{i-1} the pair {x_i, 2n+1-x_i} and the entries of
+    w_i together with their complements.  x_i is "tiny" when it equals
+    the lower median of A_{i-1}; once a minimum is tiny, all later ones
+    are.  minimum is the block's x_i, word its w_i as a tuple of values,
+    tiny whether x_i is tiny, and emitted its U/D steps.  deleted is the
+    number of leading steps removed from the recursive remainder path at
+    this block's level: k-l-1 when the block is not tiny and k-l-2 when
+    it is, with k computed at that level.
     """
 
     __slots__ = ()
@@ -59,10 +65,12 @@ class PhiBlock(namedtuple("PhiBlock", "minimum word tiny emitted deleted")):
 class PhiTrace(namedtuple("PhiTrace", "blocks predicted_heights")):
     """Per-block emission record of phi; fragments concatenate to the path.
 
-    blocks is a tuple of PhiBlock.  predicted_heights lists the closed-form
-    pairs (height after the block's first descent, height after the whole
-    block); the formulas hold only when no minimum is tiny, so the field is
-    None otherwise.
+    It is the library's record of a member's minima decomposition: blocks
+    is a tuple of PhiBlock, one per left-to-right minimum of the first
+    half, in order.  predicted_heights lists the closed-form pairs (height
+    after the block's first descent, height after the whole block); the
+    formulas hold only when no minimum is tiny, so the field is None
+    otherwise.
     """
 
     __slots__ = ()
@@ -113,7 +121,8 @@ def phi(p: Permutation) -> LatticePath:
 
 
 def phi_trace(p: Permutation) -> PhiTrace:
-    """phi with per-block bookkeeping (validates membership)."""
+    """The minima decomposition of p with phi's per-block bookkeeping
+    (validates membership)."""
     require_member(p)
     blocks = tuple(PhiBlock(*b) for b in _phi_blocks(p.values[: len(p) // 2]))
     predicted = None

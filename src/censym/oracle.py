@@ -109,11 +109,6 @@ def length_cap(default: int) -> int:
     return int(text)
 
 
-def max_even_length() -> int:
-    """Cap on centrosymmetric even lengths (odd may go one further)."""
-    return length_cap(DEFAULT_MAX_EVEN_LENGTH)
-
-
 class ClassSpec(
     namedtuple(
         "ClassSpec",
@@ -156,7 +151,7 @@ class ClassSpec(
 
 def _check_cap(spec: ClassSpec):
     if spec.centrosymmetric:
-        cap = max_even_length()
+        cap = length_cap(DEFAULT_MAX_EVEN_LENGTH)
         limit = cap if spec.length % 2 == 0 else cap + 1
         if spec.length > limit:
             raise CapExceeded(

@@ -4,9 +4,13 @@ Positions and values are 1-based.  A permutation of length 2n is
 centrosymmetric when p(i) + p(2n+1-i) = 2n+1 for every i, i.e. its plot is
 invariant under a half-turn.  The empty permutation is a valid member of
 every class here and anchors the recurrences at n = 0.
+
+_walk_blocks walks the left-to-right-minima blocks of a 123-avoiding
+member's first half; stats reads it for the tiny minima, and phi reads
+it too.  Its public record, block by block, is bijection.phi_trace.
 """
 
-from collections import deque, namedtuple
+from collections import deque
 from itertools import compress
 from math import inf
 from operator import gt
@@ -51,10 +55,6 @@ class Permutation:
         p = object.__new__(cls)
         p.values = tuple(values)
         return p
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
     def __len__(self):
         return len(self.values)
@@ -378,31 +378,6 @@ def _walk_blocks(w):
         for v in w[i + 1 : j]:
             upper.pop(upper.index(v if v > half else full + 1 - v))
         i = j
-
-
-class MinimaDecomposition(namedtuple("MinimaDecomposition", "blocks tiny_flags")):
-    """Left-to-right minima split of the first half of a 123-avoiding member.
-
-    The half word factors as x_1 w_1 x_2 w_2 ... x_s w_s where the x_i are
-    the left-to-right minima.  Alphabet A_0 = {1..2n}; A_i removes from
-    A_{i-1} the pair {x_i, 2n+1-x_i} and the entries of w_i together with
-    their complements.  The minimum x_i is "tiny" when it equals the lower
-    median of A_{i-1}; once a minimum is tiny all later ones are.  blocks
-    is ((x_1, w_1), ...) with each w_i a tuple of values, and tiny_flags
-    holds one flag per block.
-    """
-
-    __slots__ = ()
-
-
-def minima_decomposition(p: Permutation) -> MinimaDecomposition:
-    """Decompose the first half of p (must avoid 123) at its minima."""
-    require_member(p)
-    walk = list(_walk_blocks(p.values[: len(p) // 2]))
-    return MinimaDecomposition(
-        blocks=tuple((x, word) for x, word, _, _, _ in walk),
-        tiny_flags=tuple(tiny for *_, tiny in walk),
-    )
 
 
 def stats(p: Permutation) -> dict:

@@ -11,12 +11,12 @@ bound, the even length where enumeration stops and the seed, and yields
 domain, such as all of C_m or the Dyck prefixes, streams the members of
 each length in lists of at most ``BATCH``, so no length is ever held
 whole.  ``_c123`` streams C_2n(123) as one record per Dyck prefix of
-length 2n, (path, member, image, decomposition): the member is
-phi_inverse(path), the image phi(member) and the decomposition the
-member's minima decomposition.  Each record is built once, and every
-check on the domain reads it rather than calling phi or the
-decomposition itself.  The other domains yield each group as a single
-batch:
+length 2n, (path, member, image, trace): the member is
+phi_inverse(path), the image phi(member) and the trace
+phi_trace(member), the member's minima decomposition block by block.
+Each record is built once, and every check on the domain reads it
+rather than calling phi or phi_trace itself.  The other domains yield
+each group as a single batch:
 ``_s123`` S_m(123) with its odd class, ``_routes`` every family's table
 by each route, and ``_run`` the run's cap and seed for the checks that
 build their own inputs.
@@ -148,13 +148,13 @@ def _centro(max_n, cap, seed):
 
 def _c123(max_n, cap, seed):
     """C_2n(123) as the preimages of the Dyck prefixes under phi, one
-    (path, member, image, decomposition) record a prefix."""
+    (path, member, image, trace) record a prefix."""
     for n in range(min(max_n, cap // 2) + 1):
         yield 2 * n, _batches(map(_c123_record, paths.enumerate_prefixes(2 * n)))
 
 
 class _Record(tuple):
-    """(path, member, image, decomposition); a set check reads its member's values."""
+    """(path, member, image, trace); a set check reads its member's values."""
 
     __slots__ = ()
     values = property(lambda record: record[1].values)
@@ -162,7 +162,7 @@ class _Record(tuple):
 
 def _c123_record(path):
     p = bijection.phi_inverse(path)
-    return _Record((path, p, bijection.phi(p), perms.minima_decomposition(p)))
+    return _Record((path, p, bijection.phi(p), bijection.phi_trace(p)))
 
 
 def _c123_oracle(max_n, cap, seed):
@@ -252,14 +252,14 @@ def _descents_from_half(m):
             yield "" if ok else f"half-word descent count wrong for {p}"
 
 
-def _minima_decomposition(m):
+def _minima_blocks(m):
     while (records := (yield)) is not None:
-        for _, p, _, dec in records:
-            flags = dec.tiny_flags
+        for _, p, _, trace in records:
+            flags = [b.tiny for b in trace.blocks]
             rebuilt = []
-            for x, w in dec.blocks:
-                rebuilt.append(x)
-                rebuilt.extend(w)
+            for b in trace.blocks:
+                rebuilt.append(b.minimum)
+                rebuilt.extend(b.word)
             if any(a and not b for a, b in zip(flags, flags[1:])):
                 yield f"tiny flags not monotone for {p}"
             elif tuple(rebuilt) != perms.left_half_word(p):
@@ -334,8 +334,8 @@ def _round_trip_members(m):
 
 def _final_height(m):
     while (records := (yield)) is not None:
-        for _, p, image, dec in records:
-            tiny = sum(dec.tiny_flags)
+        for _, p, image, trace in records:
+            tiny = sum(b.tiny for b in trace.blocks)
             half_high = all(v > m // 2 for v in perms.left_half_word(p))
             if image.final_height != 2 * tiny:
                 yield f"final height != 2 tiny for {p}"
@@ -369,8 +369,7 @@ def _dyck_descents(m):
 
 def _block_heights(m):
     while (records := (yield)) is not None:
-        for _, p, _, _ in records:
-            trace = bijection.phi_trace(p)
+        for _, p, _, trace in records:
             if trace.predicted_heights is not None:
                 ok = trace.predicted_heights == trace.block_heights()
                 yield "" if ok else f"predicted heights differ for {p}"
@@ -576,7 +575,7 @@ CHECKS = (
     ("perm", "mirror-symmetric descent sets", _centro, _mirror_descents),
     ("perm", "descents recoverable from the first half", _centro,
      _descents_from_half),
-    ("perm", "minima decomposition well formed", _c123, _minima_decomposition),
+    ("perm", "minima decomposition well formed", _c123, _minima_blocks),
     ("path", "prefix count C(2n, n)", _prefixes,
      _count(lambda n: comb(2 * n, n), "{count} prefixes of length {m}")),
     ("path", "Dyck path count Catalan(n)", _prefixes, _dyck_count),

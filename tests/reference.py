@@ -117,19 +117,19 @@ def statistic_words() -> list:
     return words
 
 
-def tiny_values(dec) -> tuple:
-    """The tiny minima of a MinimaDecomposition, in block order."""
-    return tuple(x for (x, _), t in zip(dec.blocks, dec.tiny_flags) if t)
+def tiny_values(blocks) -> tuple:
+    """The tiny minima of a trace's blocks, in block order."""
+    return tuple(b.minimum for b in blocks if b.tiny)
 
 
-def minima(dec) -> tuple:
-    """The left-to-right minima x_i of a MinimaDecomposition."""
-    return tuple(x for x, _ in dec.blocks)
+def minima(blocks) -> tuple:
+    """The left-to-right minima x_i of a trace's blocks."""
+    return tuple(b.minimum for b in blocks)
 
 
-def block_lengths(dec) -> tuple:
-    """The block word lengths l_1 .. l_s of a MinimaDecomposition."""
-    return tuple(len(w) for _, w in dec.blocks)
+def block_lengths(blocks) -> tuple:
+    """The block word lengths l_1 .. l_s of a trace's blocks."""
+    return tuple(len(b.word) for b in blocks)
 
 
 def right_components(values) -> tuple:

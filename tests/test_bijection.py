@@ -23,7 +23,6 @@ from censym.perms import (
     Permutation,
     VerificationError,
     is_centrosymmetric,
-    minima_decomposition,
     parse_permutation,
     right_connected_components,
     stats,
@@ -147,8 +146,8 @@ def test_phi_properties_on_long_prefixes(path):
 @settings(deadline=None, max_examples=40)
 @given(dyck_prefixes(10**4))
 def test_final_height_on_random_prefixes(path):
-    tiny = minima_decomposition(phi_inverse(path)).tiny_flags
-    assert path.final_height == 2 * sum(tiny)
+    blocks = phi_trace(phi_inverse(path)).blocks
+    assert path.final_height == 2 * sum(b.tiny for b in blocks)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -180,7 +179,7 @@ def test_predicted_heights_on_no_tiny_members(catalogue):
     for n in range(6):
         for p in map(phi_inverse, enumerate_prefixes(2 * n)):
             trace = phi_trace(p)
-            if any(minima_decomposition(p).tiny_flags):
+            if any(b.tiny for b in trace.blocks):
                 assert trace.predicted_heights is None
             else:
                 assert trace.predicted_heights == trace.block_heights()

@@ -14,7 +14,7 @@ from censym.oracle import (
     DEFAULT_MAX_EVEN_LENGTH,
     descent_histogram,
     enumerate_class,
-    max_even_length,
+    length_cap,
 )
 from censym.paths import classify
 from censym.perms import contains_pattern, is_centrosymmetric, word_contains_pattern
@@ -158,7 +158,7 @@ def test_subclass_requires_even_centro_123():
 
 def test_caps(monkeypatch):
     monkeypatch.delenv("CENSYM_MAX_ORACLE_N", raising=False)
-    assert max_even_length() == DEFAULT_MAX_EVEN_LENGTH
+    assert length_cap(DEFAULT_MAX_EVEN_LENGTH) == DEFAULT_MAX_EVEN_LENGTH
     with pytest.raises(CapExceeded):
         list(enumerate_class(ClassSpec(18, centrosymmetric=True)))
     with pytest.raises(CapExceeded):
@@ -166,7 +166,7 @@ def test_caps(monkeypatch):
     with pytest.raises(CapExceeded):
         list(enumerate_class(ClassSpec(10)))
     monkeypatch.setenv("CENSYM_MAX_ORACLE_N", "6")
-    assert max_even_length() == 6
+    assert length_cap(DEFAULT_MAX_EVEN_LENGTH) == 6
     with pytest.raises(CapExceeded):
         list(enumerate_class(ClassSpec(8, centrosymmetric=True)))
     assert sum(1 for _ in enumerate_class(ClassSpec(7, centrosymmetric=True))) == 48

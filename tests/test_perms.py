@@ -16,7 +16,6 @@ from censym.perms import (
     is_centrosymmetric,
     left_half_word,
     ltr_minima,
-    minima_decomposition,
     parse_permutation,
     rank_within,
     require_member,
@@ -25,6 +24,7 @@ from censym.perms import (
     word_contains_pattern,
 )
 
+from censym.bijection import phi_trace
 from censym.oracle import ClassSpec, enumerate_class
 from tests.paper import PHI_FIGURE
 from tests.reference import (
@@ -231,8 +231,8 @@ def paper_alphabets(p):
     and their complements."""
     m = len(p)
     alphabets = [tuple(range(1, m + 1))]
-    for x, w in minima_decomposition(p).blocks:
-        removed = {x, *w}
+    for b in phi_trace(p).blocks:
+        removed = {b.minimum, *b.word}
         removed |= {m + 1 - v for v in removed}
         alphabets.append(tuple(a for a in alphabets[-1] if a not in removed))
     return alphabets
@@ -244,10 +244,10 @@ def lower_median(alphabet):
 
 def test_minima_decomposition_of_figure_member():
     p = parse_permutation(PHI_FIGURE[0])
-    dec = minima_decomposition(p)
-    assert minima(dec) == (11, 9, 7)
-    assert block_lengths(dec) == (2, 0, 3)
-    assert dec.tiny_flags == (False, False, True)
+    blocks = phi_trace(p).blocks
+    assert minima(blocks) == (11, 9, 7)
+    assert block_lengths(blocks) == (2, 0, 3)
+    assert tuple(b.tiny for b in blocks) == (False, False, True)
     alphabets = paper_alphabets(p)
     assert alphabets[0] == tuple(range(1, 17))
     assert alphabets[1] == (3, 4, 5, 7, 8, 9, 10, 12, 13, 14)
@@ -257,9 +257,10 @@ def test_minima_decomposition_of_figure_member():
 def test_tiny_flags_are_lower_medians():
     for n in range(7):
         for p in c123(2 * n):
-            dec = minima_decomposition(p)
+            blocks = phi_trace(p).blocks
             medians = map(lower_median, paper_alphabets(p))
-            assert dec.tiny_flags == tuple(x == m for x, m in zip(minima(dec), medians))
+            flags = tuple(x == m for x, m in zip(minima(blocks), medians))
+            assert tuple(b.tiny for b in blocks) == flags
 
 
 def test_walk_ranks_match_the_alphabets():
@@ -297,5 +298,5 @@ def test_stats_record():
     assert stats(Permutation((1, 2, 3)))["tiny_minima"] is None
     for n in range(6):
         for p in c123(2 * n):
-            tiny = list(tiny_values(minima_decomposition(p)))
+            tiny = list(tiny_values(phi_trace(p).blocks))
             assert stats(p)["tiny_minima"] == tiny

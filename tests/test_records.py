@@ -7,7 +7,7 @@ import pytest
 from censym.bijection import PhiBlock, PhiTrace, phi_trace
 from censym.oracle import ClassSpec
 from censym.paths import LatticePath, PathClassification, classify
-from censym.perms import MinimaDecomposition, minima_decomposition, parse_permutation
+from censym.perms import parse_permutation
 from censym.tables import DescentTable, descent_tables
 from censym.verify import Check, SuiteReport
 
@@ -32,10 +32,6 @@ RECORDS = [
         classify(LatticePath("UDUU")),
         "PathClassification(is_dyck_path=False, is_elevated=False, "
         "split=(LatticePath('UD'), LatticePath('UU')))",
-    ),
-    (
-        minima_decomposition(MEMBER),
-        "MinimaDecomposition(blocks=((3, (4,)),), tiny_flags=(False,))",
     ),
     (
         descent_tables("recurrence", ("k",), 2)["k"],
@@ -63,7 +59,6 @@ def test_frozen_records_keep_their_fields_and_defaults():
         PhiBlock: ("minimum", "word", "tiny", "emitted", "deleted"),
         PhiTrace: ("blocks", "predicted_heights"),
         PathClassification: ("is_dyck_path", "is_elevated", "split"),
-        MinimaDecomposition: ("blocks", "tiny_flags"),
         DescentTable: ("family", "rows"),
     }
     for record, names in fields.items():

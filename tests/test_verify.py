@@ -120,18 +120,24 @@ def test_bijection_suite_builds_each_record_once(monkeypatch):
         return wrapper
 
     for module, name in (
-        (bijection, "phi"), (bijection, "phi_inverse"), (perms, "minima_decomposition")
+        (bijection, "phi"),
+        (bijection, "phi_inverse"),
+        (bijection, "phi_trace"),
+        (bijection, "_walk_blocks"),
+        (perms, "_walk_blocks"),
     ):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     (report,) = run_suite("bijection", 4)
     assert report.ok
     # one record a prefix: its member by phi_inverse, the member's image by
-    # phi and its decomposition; the member round trip takes phi_inverse
-    # of each image, and the composite split of each composite's two parts
+    # phi and its trace by phi_trace, each of the two walking the member's
+    # blocks once; the member round trip takes phi_inverse of each image,
+    # and the composite split of each composite's two parts
     members = len(prefixes)
     assert calls == Counter(
         phi=members,
-        minima_decomposition=members,
+        phi_trace=members,
+        _walk_blocks=2 * members,
         phi_inverse=2 * members + 2 * composites,
     )
 
