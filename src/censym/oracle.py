@@ -24,6 +24,15 @@ m+1-v on the left when the half gains v, so a value v that ends the
 half is a leaf with no frame of its own: its word is the one tuple
 half + [v] + middle + [m+1-v] + mirror.
 
+The whole class, with no pattern, needs no cut and no leaf test, so the
+completions of a frame with 2k free values depend only on the order of
+those values: the k-index words of _tail_words(k).  That search pushes no
+frame of 2 TAIL free values.  It reads every completion of one from
+half + free + middle + mirror with one itemgetter per word, built once per
+length, since top - free[i] is free[2k-1-i]; for n <= TAIL the root is
+completed the same way.  So only pattern and subclass searches reach a
+leaf.
+
 For 123 the cut needs no scan of the known words.  Each frame keeps two
 numbers for its half: lo, the least value, and s, the least value that
 ends an ascent.  A new value v past s completes a 123; otherwise it
@@ -74,8 +83,9 @@ its class, and _subclass_match still decides each leaf.
 
 import os
 from collections import Counter, deque, namedtuple
-from itertools import permutations as _all_permutations
+from itertools import permutations as _all_permutations, repeat
 from math import inf
+from operator import itemgetter
 
 from .perms import (
     Permutation,
@@ -85,6 +95,7 @@ from .perms import (
 )
 
 GENERAL_MAX_LENGTH = 9
+TAIL = 3  # the unrestricted search completes a half's last TAIL values at once
 DEFAULT_MAX_EVEN_LENGTH = 16
 SUBCLASSES = ("k", "ck", "g", "composite")
 
@@ -164,12 +175,52 @@ def _check_cap(spec: ClassSpec):
         )
 
 
+def _tail_words(k: int) -> list:
+    """Index words of every half over a sorted, complement-closed list of
+    2k values, in lexicographic order.
+
+    A half takes one value of each pair {free[i], free[2k-1-i]}, so a word
+    is k indices, none equal to an earlier one or its mirror 2k-1-i.
+    """
+    words = [()]
+    for _ in range(k):
+        words = [
+            (*w, i)
+            for w in words
+            for i in range(2 * k)
+            if i not in w and 2 * k - 1 - i not in w
+        ]
+    return words
+
+
+def _tail_getters(n: int, mid: int) -> list:
+    """One itemgetter per word of _tail_words(k), k = min(n, TAIL), that
+    reads a whole member of length 2n + mid from half + free + middle +
+    mirror, the half and its mirror of length n - k and free of 2k values.
+    """
+    k = min(n, TAIL)
+    h = n - k
+    f = h + 2 * k  # where the middle starts
+    return [
+        itemgetter(
+            *range(h),
+            *(h + i for i in w),
+            *range(f, f + mid),
+            *(f - 1 - i for i in reversed(w)),  # top - free[i] is free[2k-1-i]
+            *range(f + mid, f + mid + h),
+        )
+        for w in _tail_words(k)
+    ]
+
+
 def _centro_members(length: int, avoid, subclass=None):
     """Centrosymmetric permutations from first-half choices, filtered, each
     yielded as soon as the search reaches it, in lexicographic order.
 
     A subclass only cuts branches that hold none of its members; the
-    caller still decides each leaf with _subclass_match.
+    caller still decides each leaf with _subclass_match.  With no pattern
+    (and so no subclass) a half's last min(n, TAIL) values come from the
+    getters of _tail_getters, a map per frame, and no leaf is reached.
     """
     n = length // 2
     top = length + 1  # a complement pair is {v, top - v}
@@ -200,6 +251,16 @@ def _centro_members(length: int, avoid, subclass=None):
     # the index of the next one to try, and the half's summaries: lo and s
     # for 123, lo and the pair (g, d) for 132
     free = [v for v in range(1, top) if v not in middle]
+    if avoid is None:  # the whole class: a subclass comes with a pattern
+        getters = _tail_getters(n, len(middle))
+
+        def completions(base):  # half + free + middle + mirror -> members
+            words = map(itemgetter.__call__, getters, repeat(base))
+            return map(Permutation._trusted, words)
+
+        if n <= TAIL:
+            yield from completions((*free, *middle))
+            return
     stack = [[free, n if high else 0, inf, (inf, inf) if cut132 else inf]]
     while stack:
         frame = stack[-1]
@@ -264,10 +325,13 @@ def _centro_members(length: int, avoid, subclass=None):
             s = (g, d)
         if size == 2:  # v ends the half: a leaf
             word = (*half, v, *middle, top - v, *mirror)
-            if avoid is None or not word_contains_pattern(word, avoid):
+            if not word_contains_pattern(word, avoid):
                 yield Permutation._trusted(word)
             continue
         child = free[:a] + free[a + 1 : b] + free[b + 1 :]
+        if avoid is None and size == 2 * TAIL + 2:  # the child's whole tail at once
+            yield from completions((*half, v, *child, *middle, top - v, *mirror))
+            continue
         half.append(v)
         mirror.appendleft(top - v)
         if avoid is None or cut123 or cut132 or not known_words_contain(child):

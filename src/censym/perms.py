@@ -249,7 +249,8 @@ def right_connected_components(p: Permutation) -> tuple:
 
 
 def _require_even_centrosymmetric(p: Permutation):
-    if len(p.values) % 2 or not is_centrosymmetric(p):
+    v = p.values  # the test of is_centrosymmetric, one call fewer per member
+    if len(v) % 2 or v != tuple(map((len(v) + 1).__sub__, reversed(v))):
         raise InvalidPermutation("not centrosymmetric of even length")
 
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -9,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from censym import bijection, cli, oracle, perms, series, tables
+from censym import bijection, cli, oracle, perms, series, tables, verify
 from censym.paths import LatticePath
 from censym.perms import VerificationError, parse_permutation
 from censym.verify import Check, SuiteReport
@@ -774,3 +777,101 @@ def test_emitted_paths_reparse(capsys):
     code, out, _ = run(capsys, "phi", "3 4 1 2")
     assert code == 0
     assert LatticePath(out.strip()).steps == "UUDD"
+
+
+
+# what the argv fuzz draws: each command's options with values they accept,
+# its inputs, and tokens a user may type anywhere by mistake
+ODD_TOKENS = ("", "-", "1.0", "x", "132", "--centro")
+SIZES = tuple(str(i) for i in range(-2, 7))
+INPUTS = ("UD", "UUDD", "DU", "UUD", "1", "2 1", "1 2 3", "4,2,3,1", "3 4 1 2", "-")
+OPTION_VALUES = {
+    "--len": SIZES,
+    "--max-n": SIZES,
+    "--order": SIZES,
+    "--seed": SIZES,
+    "--avoid": ("123", "321", "1", "12", "11", "1324"),
+    "--subclass": oracle.SUBCLASSES,
+    "--format": ("json", "csv"),  # both enumerate and table take these
+    "--family": tables.FAMILIES,
+    "--source": ("recurrence", "series", "oracle"),
+    "--name": series.NAMED_SERIES,
+    "--suite": verify.SUITES,
+}
+COMMAND_OPTIONS = {
+    "perm-stats": (),
+    "phi": (),
+    "phi-inv": (),
+    "enumerate": ("--len", "--avoid", "--subclass", "--format"),
+    "table": ("--family", "--max-n", "--source", "--format"),
+    "series": ("--name", "--order"),
+    "verify": ("--suite", "--max-n", "--seed"),
+}
+
+
+def _fuzz_argv(command):
+    """argv for command: most of its options, each with a value it accepts
+    (and enumerate's --centro), and its input if it takes one, in any
+    order; kept as it is half of the time, else spoilt at one place by an
+    inserted, dropped or replaced token."""
+    items = [
+        st.sampled_from(OPTION_VALUES[name]).map(lambda v, name=name: [name, v])
+        for name in COMMAND_OPTIONS.get(command, ())
+    ]
+    if command == "enumerate":
+        items.append(st.just(["--centro"]))
+    if command in ("perm-stats", "phi", "phi-inv"):
+        items.append(st.sampled_from(INPUTS).map(lambda v: [v]))
+    kept = st.sampled_from((True, True, True, False))
+    chosen = st.tuples(*(st.tuples(item, kept) for item in items))
+    tokens = chosen.flatmap(
+        lambda pairs: st.permutations([item for item, keep in pairs if keep])
+    ).map(lambda items: [token for item in items for token in item])
+
+    def spoil(tokens, how, at, odd):
+        at %= len(tokens) + 1
+        if how == "insert":
+            return tokens[:at] + [odd] + tokens[at:]
+        if how == "replace":
+            return tokens[:at] + [odd] + tokens[at + 1 :]
+        if how == "drop":
+            return tokens[:at] + tokens[at + 1 :]
+        return tokens
+
+    hows = st.sampled_from(("keep", "keep", "keep", "insert", "replace", "drop"))
+    odd = st.sampled_from(ODD_TOKENS + INPUTS + SIZES)
+    spoilt = st.builds(spoil, tokens, hows, st.integers(0, 12), odd)
+    return spoilt.map(lambda tokens: [command, *tokens])
+
+
+def _small(argv) -> bool:
+    """Does argv stop in parsing, or ask for sizes that run in milliseconds?"""
+    quiet = io.StringIO()
+    with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+        try:
+            args = cli.build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            return True
+    limit = 3 if args.command == "verify" else 6
+    return all(getattr(args, size, 0) <= limit for size in ("len", "max_n", "order"))
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    argv=st.sampled_from((*COMMAND_OPTIONS, "x", "-h")).flatmap(_fuzz_argv),
+    stdin=st.one_of(st.sampled_from(INPUTS), st.text(max_size=12)),
+)
+def test_exit_code_contract_holds_on_random_argv(argv, stdin):
+    # 0 success, 2 usage error, 3 invalid input; a correct library never
+    # fails verification (1) or crashes (4)
+    assume(_small(argv))
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

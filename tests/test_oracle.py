@@ -1,6 +1,7 @@
 import ast
 import gc
-from itertools import islice, permutations
+import hashlib
+from itertools import combinations, islice, permutations
 from math import comb
 from pathlib import Path
 
@@ -135,7 +136,15 @@ def test_search_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         # 1324 goes through the backtracking containment test
-        cases = (6, None), (6, (1, 2, 3)), (6, (1, 3, 2, 4)), (7, (1, 3, 2, 4))
+        # below length 8 the whole class is completed with no frame pushed
+        cases = (
+            (6, None),
+            (8, None),
+            (9, None),
+            (6, (1, 2, 3)),
+            (6, (1, 3, 2, 4)),
+            (7, (1, 3, 2, 4)),
+        )
         for length, avoid in cases:
             list(enumerate_class(ClassSpec(length, centrosymmetric=True, avoid=avoid)))
         assert gc.collect() == 0
@@ -261,6 +270,34 @@ def test_summary_search_equals_unpruned_reference(pattern):
         spec = ClassSpec(length, centrosymmetric=True, avoid=pattern)
         got = [p.values for p in enumerate_class(spec)]
         assert got == centro_avoiders(length, pattern), (pattern, length)
+
+
+@pytest.mark.parametrize(
+    "length, digest",
+    [
+        (13, "e46b6008c89a16e2db7b4142427dc93d968af635805a8c22c4aafd88bd930f5e"),
+        (14, "b8b2f246bbb12d9fcd95a401562f1de1710e363bc9c3c9c5cc04aa0d1c356d4b"),
+    ],
+)
+def test_whole_class_past_the_reference_is_frozen(length, digest):
+    # the reference stops at length 12; these digests were taken from the
+    # search before it completed each half's last values from index words
+    h = hashlib.sha256()
+    for p in enumerate_class(ClassSpec(length, centrosymmetric=True)):
+        h.update(bytes(p.values))
+    assert h.hexdigest() == digest
+
+
+def test_tail_words_are_the_halves_in_order():
+    for k in range(5):
+        values = list(range(1, 2 * k + 1))
+        halves = sorted(
+            w
+            for w in permutations(values, k)
+            if all(v + u != 2 * k + 1 for v, u in combinations(w, 2))
+        )
+        words = censym.oracle._tail_words(k)
+        assert [tuple(values[i] for i in w) for w in words] == halves
 
 
 @pytest.mark.parametrize("avoid", [None, (1, 2, 3)], ids=["all", "123"])
