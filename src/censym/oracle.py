@@ -68,17 +68,20 @@ Whatever the pattern, the one containment test on the whole permutation
 decides membership at every leaf; the summaries only decide where the
 search cuts.
 
-The k, ck and g subclasses are read off the permutation alone (see
-_subclass_match), so this module imports nothing but perms.  A subclass
-search cuts where its definition decides early.  A k or ck half holds
-only values above n, the upper half of each frame's free values, so its
-frames start there.  A ck or g member has no right component ending
-before n, nor a g member one ending at n, since its half is not all
-above n.  One ends with a half of length i exactly when its least value
-lo is m+1-i, so such a frame, or for g such a leaf, is cut next to the
-123 cut.  At length 0 only k holds the empty permutation.  The cuts drop
-only branches without members, so a subclass comes out in the order of
-its class, and _subclass_match still decides each leaf.
+The search alone decides the k, ck and g subclasses, from their
+definitions on the permutation, so this module imports nothing but
+perms.  A member p of C_2n(123) is in k when its half holds only values
+above n; ck is k with two right components, g is not k with one.  A
+component ends after position i exactly when min(p(1..i)) = 2n+1-i, and
+as p is centrosymmetric, exactly when one ends after 2n-i, so the ends
+in the half fix them all.  A k or ck frame tries only its free values
+above n.  A half of length i = n+1-h, h the pairs free at its frame,
+ends a component when its least value lo is n+h: ck cuts it for i < n,
+so two components are left, and g for i <= n, so one is left and the
+half is not all above n (that would end one at n).  Only k holds the
+empty permutation.  The cuts drop only branches without members and
+keep no leaf outside the subclass, so a subclass comes out in the order
+of its class; composite has no cut, and the caller filters it.
 """
 
 import os
@@ -217,10 +220,11 @@ def _centro_members(length: int, avoid, subclass=None):
     """Centrosymmetric permutations from first-half choices, filtered, each
     yielded as soon as the search reaches it, in lexicographic order.
 
-    A subclass only cuts branches that hold none of its members; the
-    caller still decides each leaf with _subclass_match.  With no pattern
-    (and so no subclass) a half's last min(n, TAIL) values come from the
-    getters of _tail_getters, a map per frame, and no leaf is reached.
+    A k, ck or g search cuts every branch that holds none of its members,
+    so each member of the pattern class that it yields is in the subclass;
+    composite is not cut.  With no pattern (and so no subclass) a half's
+    last min(n, TAIL) values come from the getters of _tail_getters, a map
+    per frame, and no leaf is reached.
     """
     n = length // 2
     top = length + 1  # a complement pair is {v, top - v}
@@ -347,23 +351,12 @@ def _general_members(length: int, avoid):
             yield Permutation._trusted(values)
 
 
-def _subclass_match(p: Permutation, name: str) -> bool:
-    """Subclass of an even centrosymmetric 123-avoider, from p alone.
-
-    p is in k (its path image is a Dyck path) when its first half holds
-    only values above n; with c right components, ck is k with c == 2,
-    g is not k with c == 1, and composite is the rest.
-    """
+def _is_composite(p: Permutation) -> bool:
+    """p, in C_2n(123), is composite: its half is not all above n, and it
+    has more than one right component."""
     n = len(p) // 2
-    high = all(v > n for v in p.values[:n])
-    if name == "k":
-        return high
-    if name == "ck":
-        return high and len(right_connected_components(p)) == 2
-    if high:
-        return False
-    single = len(right_connected_components(p)) == 1
-    return single if name == "g" else not single  # composite
+    low = any(v <= n for v in p.values[:n])
+    return low and len(right_connected_components(p)) > 1
 
 
 def enumerate_class(spec: ClassSpec):
@@ -373,12 +366,9 @@ def enumerate_class(spec: ClassSpec):
         members = _centro_members(spec.length, spec.avoid, spec.subclass)
     else:
         members = _general_members(spec.length, spec.avoid)
-    if spec.subclass is None:
-        yield from members
-    else:
-        for p in members:
-            if _subclass_match(p, spec.subclass):
-                yield p
+    if spec.subclass == "composite":  # the one subclass the search does not cut
+        members = filter(_is_composite, members)
+    yield from members
 
 
 def descent_histogram(spec: ClassSpec) -> dict:

@@ -12,15 +12,16 @@ Families index descent histograms by (n, d):
 
 ``descent_tables`` builds the requested families' tables by one route.
 The recurrence and series routes build what the families share once per
-call; the oracle searches each family's own class, cut to its subclass
-for k, ck and g.  The recurrence tables are the normative output; their
-rows are y-polynomials on the series module's kernel, and they never
-read a closed form (only _series_rows does).  The closed-form series and
-the oracle are verification inputs, compared cell by cell with these
-tables by the three-route check of ``censym verify``: where a printed
-closed form is known to disagree with the combinatorially verified table
-(Q's constant term, R's missing (1+y^2) factor, the empty-path cells of
-CK and S), the mismatch is a paper discrepancy rather than a failure.
+call; the oracle searches each family's own class, cut to exactly its
+subclass for k, ck and g.  The recurrence tables are the normative
+output; their rows are y-polynomials on the series module's kernel, and
+they never read a closed form (only _series_rows does).  The closed-form
+series and the oracle are verification inputs, compared cell by cell
+with these tables by the three-route check of ``censym verify``: where a
+printed closed form is known to disagree with the combinatorially
+verified table (Q's constant term, R's missing (1+y^2) factor, the
+empty-path cells of CK and S), the mismatch is a paper discrepancy
+rather than a failure (for r, only where 1 + (1+y^2)R gives the table).
 ``DescentTable.padded_rows`` pads a table's rows with zeros to one width;
 the CSV and JSON outputs both print it.
 """

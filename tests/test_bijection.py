@@ -17,6 +17,7 @@ from censym.bijection import (
     phi_inverse,
     phi_trace,
 )
+from censym.oracle import ClassSpec, enumerate_class
 from censym.paths import InvalidPath, LatticePath, enumerate_prefixes
 from censym.perms import (
     InvalidPermutation,
@@ -219,6 +220,18 @@ def test_even_to_odd_132_follows_listed_correspondence():
     for even_text, odd_text in pairs:
         even = parse_permutation(even_text)
         assert even_to_odd_132(even) == parse_permutation(odd_text)
+
+
+def test_even_to_odd_132_maps_the_even_class_onto_the_odd_one_in_order():
+    # the inserted middle value sends C_2n(132) onto C_2n+1(132) in the
+    # oracle's order, and des d to d + (d mod 2)
+    for n in range(7):
+        even = list(enumerate_class(ClassSpec(2 * n, True, (1, 3, 2))))
+        odd = list(enumerate_class(ClassSpec(2 * n + 1, True, (1, 3, 2))))
+        assert [even_to_odd_132(p) for p in even] == odd, n
+        for p, q in zip(even, odd):
+            d = perms.descent_count(p)
+            assert perms.descent_count(q) == d + d % 2, p
 
 
 def test_generate_c132_matches_brute_force(catalogue):

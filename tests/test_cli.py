@@ -472,12 +472,20 @@ def test_oracle_table_checks_size_first(monkeypatch, capsys, max_n, message):
 
 
 def test_t_oracle_table_never_classifies(monkeypatch, capsys):
-    # t is all of C_2n(123), so the k/ck/g classification has no part in it
-    classified = []
-    monkeypatch.setattr(oracle, "_subclass_match", lambda *a: classified.append(a))
+    # t is all of C_2n(123), so its search is cut to no subclass and no
+    # member is tested for composite
+    searched, classified = [], []
+    real_search = oracle._centro_members
+
+    def search(length, avoid, subclass=None):
+        searched.append(subclass)
+        return real_search(length, avoid, subclass)
+
+    monkeypatch.setattr(oracle, "_centro_members", search)
+    monkeypatch.setattr(oracle, "_is_composite", classified.append)
     argv = ("table", "--family", "t", "--max-n", "4", "--source", "oracle")
     code, out, _ = run(capsys, *argv)
-    assert (code, classified) == (0, [])
+    assert (code, set(searched), classified) == (0, {None}, [])
     assert out.splitlines()[-1] == "4,0,0,0,6,20,28,15,1"
 
 
@@ -641,6 +649,21 @@ def test_verify_checks_t_against_the_printed_form(monkeypatch, capsys):
     assert (
         "FAIL named series identities (5 checked): "
         "printed T != its rationalized form\n"
+    ) in out
+
+
+def test_verify_checks_r_against_the_corrected_form(monkeypatch, capsys):
+    # an r cell that differs from printed R is a Note only where
+    # 1 + (1+y^2)R gives the table; with R doubled none does
+    real_series_R = series._BUILDERS["R"]
+    monkeypatch.setitem(
+        series._BUILDERS, "R", lambda order, named: real_series_R(order, named).scale(2)
+    )
+    code, out, _ = run(capsys, "verify", "--suite", "series", "--max-n", "8")
+    assert code == 1
+    assert (
+        "FAIL recurrence vs series vs brute force, all families (899 checked): "
+        "r[1][0]: table 1 vs 2 by 1 + (1+y^2)R\n"
     ) in out
 
 
