@@ -68,20 +68,21 @@ Whatever the pattern, the one containment test on the whole permutation
 decides membership at every leaf; the summaries only decide where the
 search cuts.
 
-The search alone decides the k, ck and g subclasses, from their
-definitions on the permutation, so this module imports nothing but
-perms.  A member p of C_2n(123) is in k when its half holds only values
-above n; ck is k with two right components, g is not k with one.  A
-component ends after position i exactly when min(p(1..i)) = 2n+1-i, and
-as p is centrosymmetric, exactly when one ends after 2n-i, so the ends
-in the half fix them all.  A k or ck frame tries only its free values
-above n.  A half of length i = n+1-h, h the pairs free at its frame,
-ends a component when its least value lo is n+h: ck cuts it for i < n,
-so two components are left, and g for i <= n, so one is left and the
-half is not all above n (that would end one at n).  Only k holds the
-empty permutation.  The cuts drop only branches without members and
-keep no leaf outside the subclass, so a subclass comes out in the order
-of its class; composite has no cut, and the caller filters it.
+The search alone decides the four subclasses, from their definitions on
+the permutation, so this module imports nothing but perms.  A member p
+of C_2n(123) is in k when its half holds only values above n; ck is k
+with two right components, g is not k with one, and composite is not k
+with more.  A component ends after position i exactly when
+min(p(1..i)) = 2n+1-i, and as p is centrosymmetric, exactly when one
+ends after 2n-i, so the ends in the half fix them all.  A k or ck frame
+tries only its free values above n.  A half of length i = n+1-h, h the
+pairs free at its frame, ends a component when its least value lo is
+n+h, and p is in k exactly when one ends at n.  So ck cuts an end for
+i < n, g for i <= n, and composite for i = n; a composite frame carries
+one bit, set once an end for some i < n is seen, and its leaf is cut
+unless the bit is set.  Only k holds the empty permutation.  The cuts
+drop only branches without members and keep no leaf outside the
+subclass, so a subclass comes out in the order of its class.
 """
 
 import os
@@ -90,12 +91,7 @@ from itertools import permutations as _all_permutations, repeat
 from math import inf
 from operator import itemgetter
 
-from .perms import (
-    Permutation,
-    descent_count,
-    right_connected_components,
-    word_contains_pattern,
-)
+from .perms import Permutation, descent_count, word_contains_pattern
 
 GENERAL_MAX_LENGTH = 9
 TAIL = 3  # the unrestricted search completes a half's last TAIL values at once
@@ -220,11 +216,11 @@ def _centro_members(length: int, avoid, subclass=None):
     """Centrosymmetric permutations from first-half choices, filtered, each
     yielded as soon as the search reaches it, in lexicographic order.
 
-    A k, ck or g search cuts every branch that holds none of its members,
-    so each member of the pattern class that it yields is in the subclass;
-    composite is not cut.  With no pattern (and so no subclass) a half's
-    last min(n, TAIL) values come from the getters of _tail_getters, a map
-    per frame, and no leaf is reached.
+    A subclass search cuts every branch that holds none of its members,
+    so each member of the pattern class that it yields is in the subclass.
+    With no pattern (and so no subclass) a half's last min(n, TAIL) values
+    come from the getters of _tail_getters, a map per frame, and no leaf
+    is reached.
     """
     n = length // 2
     top = length + 1  # a complement pair is {v, top - v}
@@ -239,10 +235,10 @@ def _centro_members(length: int, avoid, subclass=None):
     cut132 = avoid in ((1, 3, 2), (2, 1, 3), (3, 1, 2), (2, 3, 1))  # by 132 summaries
     flip = avoid in ((3, 2, 1), (3, 1, 2), (2, 3, 1))  # the summaries read top - v
     high = subclass in ("k", "ck")  # the half takes only the upper free values
-    # ck and g have no right component ending before n, and g none at n; one
-    # ends at n + 1 - h, so ck cuts from h = 2 and g from h = 1
-    single = subclass in ("ck", "g")
-    least_h = 1 if subclass == "g" else 2
+    # ck and g have no right component ending before n, and g and composite
+    # none at n, where k has one; one ends at n + 1 - h
+    none_before = subclass in ("ck", "g")
+    none_at = subclass in ("g", "composite")
 
     def known_words_contain(free):
         return word_contains_pattern((*half, *middle, *mirror), avoid) or any(
@@ -252,8 +248,9 @@ def _centro_members(length: int, avoid, subclass=None):
     half = []
     mirror = deque()  # top - w for w in reversed(half)
     # a frame: the half's free values (sorted, closed under complement),
-    # the index of the next one to try, and the half's summaries: lo and s
-    # for 123, lo and the pair (g, d) for 132
+    # the index of the next one to try, the half's summaries: lo and s for
+    # 123, lo and the pair (g, d) for 132, and split: the half ends a right
+    # component before n, or the subclass is not composite
     free = [v for v in range(1, top) if v not in middle]
     if avoid is None:  # the whole class: a subclass comes with a pattern
         getters = _tail_getters(n, len(middle))
@@ -265,10 +262,11 @@ def _centro_members(length: int, avoid, subclass=None):
         if n <= TAIL:
             yield from completions((*free, *middle))
             return
-    stack = [[free, n if high else 0, inf, (inf, inf) if cut132 else inf]]
+    split = subclass != "composite"
+    stack = [[free, n if high else 0, inf, (inf, inf) if cut132 else inf, split]]
     while stack:
         frame = stack[-1]
-        free, i, lo, s = frame
+        free, i, lo, s, split = frame
         size = len(free)
         if i == size:
             stack.pop()
@@ -301,8 +299,12 @@ def _centro_members(length: int, avoid, subclass=None):
             ):
                 continue
             # a right component ends with the half, at n + 1 - h, when lo is
-            # top - (n + 1 - h)
-            if single and h >= least_h and lo == n + h:
+            # top - (n + 1 - h); a composite leaf needs one ended before n
+            if subclass and lo == n + h:
+                if none_before if h > 1 else none_at:
+                    continue
+                split = True
+            if not split and h == 1:
                 continue
         elif cut132:
             u = top - v if flip else v
@@ -339,7 +341,7 @@ def _centro_members(length: int, avoid, subclass=None):
         half.append(v)
         mirror.appendleft(top - v)
         if avoid is None or cut123 or cut132 or not known_words_contain(child):
-            stack.append([child, size // 2 - 1 if high else 0, lo, s])
+            stack.append([child, size // 2 - 1 if high else 0, lo, s, split])
             continue
         half.pop()
         mirror.popleft()
@@ -351,14 +353,6 @@ def _general_members(length: int, avoid):
             yield Permutation._trusted(values)
 
 
-def _is_composite(p: Permutation) -> bool:
-    """p, in C_2n(123), is composite: its half is not all above n, and it
-    has more than one right component."""
-    n = len(p) // 2
-    low = any(v <= n for v in p.values[:n])
-    return low and len(right_connected_components(p)) > 1
-
-
 def enumerate_class(spec: ClassSpec):
     """Members of the class, in a deterministic (lexicographic) order."""
     _check_cap(spec)
@@ -366,8 +360,6 @@ def enumerate_class(spec: ClassSpec):
         members = _centro_members(spec.length, spec.avoid, spec.subclass)
     else:
         members = _general_members(spec.length, spec.avoid)
-    if spec.subclass == "composite":  # the one subclass the search does not cut
-        members = filter(_is_composite, members)
     yield from members
 
 

@@ -222,19 +222,27 @@ def _count(want, message):
     return check
 
 
-def _same_set(generate, message):
+def _same_set(generate, message, reverse=False):
     """The check that compares the value set of a group of size m with
-    that of generate(m), called as the check runs.  Its failure is
-    message, formatted with m."""
+    that of generate(m), called as the check runs, with each member of
+    generate(m) reversed when reverse is set.  Its failure is message,
+    formatted with m."""
 
     def check(m):
         values = set()
         while (members := (yield)) is not None:
             values.update(p.values for p in members)
-        ok = {p.values for p in generate(m)} == values
+        ok = {p.values[::-1] if reverse else p.values for p in generate(m)} == values
         yield "" if ok else message.format(m=m)
 
     return check
+
+
+def _walk(pattern):
+    """The generator of C_m(pattern) by brute force, for _same_set."""
+    return lambda m: oracle.enumerate_class(
+        oracle.ClassSpec(m, centrosymmetric=True, avoid=pattern)
+    )
 
 
 def _mirror_descents(m):
@@ -398,6 +406,31 @@ def _composite_split(m):
                 yield f"composite descent offset fails for {p}"
             else:
                 yield ""
+
+
+def _subclass_walks(m):
+    """Each subclass's oracle walk holds exactly the members whose image is
+    a Dyck path (k), an elevated Dyck path (ck), an elevated proper prefix
+    (g) or composite; and Catalan(n - 1) images are elevated Dyck paths."""
+    by_image = {name: set() for name in oracle.SUBCLASSES}
+    elevated = 0
+    while (records := (yield)) is not None:
+        for _, p, image, _ in records:
+            c = paths.classify(image)
+            if c.is_dyck_path:
+                by_image["k"].add(p.values)
+                if c.is_elevated:
+                    by_image["ck"].add(p.values)
+                    elevated += 1
+            else:
+                by_image["g" if c.split is None else "composite"].add(p.values)
+    for name, members in by_image.items():
+        spec = oracle.ClassSpec(m, True, (1, 2, 3), name)
+        ok = {p.values for p in oracle.enumerate_class(spec)} == members
+        yield "" if ok else f"{name} walk differs from the path images at 2n = {m}"
+    n = m // 2
+    ok = elevated == (comb(2 * n - 2, n - 1) // n if n else 0)
+    yield "" if ok else f"{elevated} elevated Dyck paths of length {m}"
 
 
 def _odd_123(m):
@@ -577,6 +610,14 @@ CHECKS = (
      _count(lambda n: comb(2 * n, n), "|C_{m}(123)| = {count}, expected {want}")),
     ("perm", "132-avoiding count 2^n", _c132,
      _count(lambda n: 2**n, "|C_{m}(132)| = {count}, expected {want}")),
+    ("perm", "321 class is the reversed 123 class", _c123_oracle,
+     _same_set(_walk((3, 2, 1)), "rev C_{m}(321) != C_{m}(123)", reverse=True)),
+    ("perm", "213 class is the 132 class", _c132,
+     _same_set(_walk((2, 1, 3)), "C_{m}(213) != C_{m}(132)")),
+    ("perm", "231 class is the reversed 132 class", _c132,
+     _same_set(_walk((2, 3, 1)), "rev C_{m}(231) != C_{m}(132)", reverse=True)),
+    ("perm", "312 class is the reversed 132 class", _c132,
+     _same_set(_walk((3, 1, 2)), "rev C_{m}(312) != C_{m}(132)", reverse=True)),
     ("perm", "mirror-symmetric descent sets", _centro, _mirror_descents),
     ("perm", "descents recoverable from the first half", _centro,
      _descents_from_half),
@@ -603,6 +644,8 @@ CHECKS = (
      _block_heights),
     ("bijection", "composite members factor at the last return", _c123,
      _composite_split),
+    ("bijection", "subclass walks are the path-image classes", _c123,
+     _subclass_walks),
     ("bijection", "odd 123 class is the lifted image of S_n(123)", _s123,
      _odd_123),
     ("bijection", "132 structural generator matches brute force", _c132,

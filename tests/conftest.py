@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from censym.perms import right_connected_components
 from censym.verify import CHECKS, SuiteReport, run_checks
 
 
@@ -16,3 +19,22 @@ def catalogue():
         return report
 
     return run
+
+
+@pytest.fixture
+def component_builds():
+    """The argument of every perms.right_connected_components call made
+    during the test, by any caller under any name."""
+    built = []
+    code = right_connected_components.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built.append(frame.f_locals["p"])
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield built
+    finally:
+        sys.setprofile(outer)

@@ -27,6 +27,10 @@ suite perm (max n = 4)
 PASS centrosymmetric count 2^n n! (5 checked)
 PASS 123-avoiding count C(2n, n) (5 checked)
 PASS 132-avoiding count 2^n (5 checked)
+PASS 321 class is the reversed 123 class (5 checked)
+PASS 213 class is the 132 class (9 checked)
+PASS 231 class is the reversed 132 class (9 checked)
+PASS 312 class is the reversed 132 class (9 checked)
 PASS mirror-symmetric descent sets (502 checked)
 PASS descents recoverable from the first half (443 checked)
 PASS minima decomposition well formed (99 checked)
@@ -46,6 +50,7 @@ PASS right components track path returns (99 checked)
 PASS Dyck-class descents from valleys and triple falls (23 checked)
 PASS per-block height formulas (no tiny minima) (23 checked)
 PASS composite members factor at the last return (27 checked)
+PASS subclass walks are the path-image classes (25 checked)
 PASS odd 123 class is the lifted image of S_n(123) (23 checked)
 PASS 132 structural generator matches brute force (9 checked)
 suite bijection: ok
@@ -82,6 +87,10 @@ suite perm (max n = 4)
 PASS centrosymmetric count 2^n n! (5 checked)
 PASS 123-avoiding count C(2n, n) (5 checked)
 PASS 132-avoiding count 2^n (5 checked)
+PASS 321 class is the reversed 123 class (5 checked)
+PASS 213 class is the 132 class (9 checked)
+PASS 231 class is the reversed 132 class (9 checked)
+PASS 312 class is the reversed 132 class (9 checked)
 PASS mirror-symmetric descent sets (502 checked)
 FAIL descents recoverable from the first half (443 checked): half-word descent count wrong for 1 2 3 4
 PASS minima decomposition well formed (99 checked)
@@ -101,6 +110,7 @@ PASS right components track path returns (99 checked)
 FAIL Dyck-class descents from valleys and triple falls (23 checked): descent formula fails for 3 4 1 2
 PASS per-block height formulas (no tiny minima) (23 checked)
 FAIL composite members factor at the last return (27 checked): composite descent offset fails for 4 2 3 1
+PASS subclass walks are the path-image classes (25 checked)
 FAIL odd 123 class is the lifted image of S_n(123) (23 checked): odd descent transfer fails for 1 4 3 2
 FAIL 132 structural generator matches brute force (9 checked): 132 generator mismatch at length 4
 suite bijection: FAILED
@@ -471,10 +481,11 @@ def test_oracle_table_checks_size_first(monkeypatch, capsys, max_n, message):
     assert message in err
 
 
-def test_t_oracle_table_never_classifies(monkeypatch, capsys):
-    # t is all of C_2n(123), so its search is cut to no subclass and no
-    # member is tested for composite
-    searched, classified = [], []
+def test_t_oracle_table_never_classifies(monkeypatch, capsys, component_builds):
+    # t is all of C_2n(123), so its search is cut to no subclass; the
+    # search decides each subclass itself, so neither the t table nor a
+    # composite walk builds the right components of any member
+    searched = []
     real_search = oracle._centro_members
 
     def search(length, avoid, subclass=None):
@@ -482,11 +493,14 @@ def test_t_oracle_table_never_classifies(monkeypatch, capsys):
         return real_search(length, avoid, subclass)
 
     monkeypatch.setattr(oracle, "_centro_members", search)
-    monkeypatch.setattr(oracle, "_is_composite", classified.append)
     argv = ("table", "--family", "t", "--max-n", "4", "--source", "oracle")
     code, out, _ = run(capsys, *argv)
-    assert (code, set(searched), classified) == (0, {None}, [])
+    assert (code, set(searched)) == (0, {None})
     assert out.splitlines()[-1] == "4,0,0,0,6,20,28,15,1"
+    argv = ("enumerate", "--len", "8", "--centro", "--avoid", "123")
+    code, out, _ = run(capsys, *argv, "--subclass", "composite")
+    assert (code, len(out.splitlines()), searched[-1]) == (0, 21, "composite")
+    assert component_builds == []
 
 
 @pytest.mark.parametrize(
@@ -574,9 +588,9 @@ def test_verify_report_is_frozen(capsys):
         ("series", 1, "c4a7d81a6d23c047571420d17e918911a6be8ccafe116a9038a124f4581cdc8c"),
         # the oracle leg stops at n = 7 while the notes run to n = 30
         ("series", 30, "0c3b958d7ba34896666d7bd3e4c2193092971a0465c87d9386415934802b2ccb"),
-        ("all", 1, "707edf67d50806e9151dfdf15361be2e68f391e00c65bd4ca72aa30399e46695"),
+        ("all", 1, "616be3c031f371a9c0bd2966cffcf449e8777e7eb1cb94e5b8a9547546f8ab5e"),
         # C_12 has 46080 members, a group of many batches
-        ("all", 6, "d1da5ad5128ff47934087d9a8258a8d96c151973a815e32bfa493cf63c5d09a1"),
+        ("all", 6, "bfe2f94281734c357ecfce09536c922a9e68c05c8ecb384019e2a65f248c1c7f"),
     ],
 )
 def test_verify_report_digest_is_frozen(monkeypatch, capsys, suite, max_n, digest):

@@ -288,6 +288,21 @@ def test_whole_class_past_the_reference_is_frozen(length, digest):
     assert h.hexdigest() == digest
 
 
+def test_subclass_walks_are_frozen(monkeypatch):
+    # every subclass at every even length to 16, in order; the digest was
+    # taken while composite was still filtered after a walk of the class
+    monkeypatch.delenv("CENSYM_MAX_ORACLE_N", raising=False)
+    h = hashlib.sha256()
+    for name in censym.oracle.SUBCLASSES:
+        for length in range(0, 17, 2):
+            for p in enumerate_class(ClassSpec(length, True, (1, 2, 3), name)):
+                h.update(bytes(p.values))
+    assert (
+        h.hexdigest()
+        == "d315fd6e371d49bb5736c3330b1d6157903874aca0c515393707f56a9e5d9a7b"
+    )
+
+
 def test_tail_words_are_the_halves_in_order():
     for k in range(5):
         values = list(range(1, 2 * k + 1))
@@ -332,8 +347,9 @@ def containment_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "pattern, subclass",
-    [(p, None) for p in PATTERNS3] + [((1, 2, 3), s) for s in ("k", "ck", "g")],
-    ids=["".join(map(str, p)) for p in PATTERNS3] + ["k", "ck", "g"],
+    [(p, None) for p in PATTERNS3]
+    + [((1, 2, 3), s) for s in censym.oracle.SUBCLASSES],
+    ids=["".join(map(str, p)) for p in PATTERNS3] + list(censym.oracle.SUBCLASSES),
 )
 def test_summaries_cut_exactly(containment_calls, pattern, subclass):
     # the summaries and the subclass cuts cut every branch without members,
@@ -356,14 +372,15 @@ def test_search_yields_before_the_class_is_built(containment_calls):
 def test_subclass_cuts_leave_fewer_leaves(containment_calls):
     # k and ck take only values above n in the half, so every leaf is a
     # member (Catalan 6 and 5); ck and g cut a right component ending
-    # before n, and g one ending at n, so every g leaf is a member too;
-    # composite has no cut and reaches all C(12, 6) leaves
+    # before n, and g and composite one ending at n, and a composite leaf
+    # is cut unless one ended before n, so every g and composite leaf is a
+    # member too: C(11, 5) and C(11, 4)
     leaves = {}
     for name in censym.oracle.SUBCLASSES:
         containment_calls.clear()
         list(enumerate_class(ClassSpec(12, True, (1, 2, 3), name)))
         leaves[name] = len(containment_calls)
-    assert leaves == {"k": 132, "ck": 42, "g": 462, "composite": 924}
+    assert leaves == {"k": 132, "ck": 42, "g": 462, "composite": 330}
 
 
 @pytest.mark.parametrize(
@@ -385,13 +402,13 @@ def test_oracle_tables_equal_the_recurrence_at_n_7():
     )
 
 
-def test_k_table_counts_no_components(monkeypatch):
-    # the search's cuts decide k, ck and g from the half alone, so no
-    # oracle table builds right components; only a composite search does
-    def counted(p):
-        raise AssertionError(f"components built for {p}")
-
-    monkeypatch.setattr(censym.oracle, "right_connected_components", counted)
+def test_k_table_counts_no_components(component_builds):
+    # the search's cuts decide all four subclasses from the half alone, so
+    # no oracle table, nor any subclass walk, builds right components
     assert descent_tables("oracle", FAMILIES, 6) == descent_tables(
         "recurrence", FAMILIES, 6
     )
+    for length in range(0, 13, 2):
+        for name in censym.oracle.SUBCLASSES:
+            list(enumerate_class(ClassSpec(length, True, (1, 2, 3), name)))
+    assert component_builds == []

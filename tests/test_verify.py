@@ -48,6 +48,10 @@ def test_mirror_check_matches_the_set_form():
          "structural generator mismatch at 2n = 4"),
         ("132 structural generator matches brute force",
          "132 generator mismatch at length 4"),
+        ("321 class is the reversed 123 class", "rev C_4(321) != C_4(123)"),
+        ("213 class is the 132 class", "C_4(213) != C_4(132)"),
+        ("231 class is the reversed 132 class", "rev C_4(231) != C_4(132)"),
+        ("312 class is the reversed 132 class", "rev C_4(312) != C_4(132)"),
     ],
 )
 def test_group_checks_fail_a_group_short_of_one(name, detail):
@@ -59,6 +63,33 @@ def test_group_checks_fail_a_group_short_of_one(name, detail):
     for batch in (None, members, None):
         tally.feed(running, batch, [])
     assert (tally.passed, tally.count, tally.detail) == (False, 1, detail)
+
+
+@pytest.mark.parametrize(
+    "fault, detail",
+    [
+        # no path is elevated
+        ("is_elevated", "ck walk differs from the path images at 2n = 2"),
+        # the composite search no longer asks for a component before n
+        ("composite", "composite walk differs from the path images at 2n = 2"),
+    ],
+)
+def test_subclass_check_fails_either_route(monkeypatch, catalogue, fault, detail):
+    real_enumerate_class = oracle.enumerate_class
+
+    def enumerate_class(spec):
+        if spec.subclass == "composite":
+            yield from real_enumerate_class(spec._replace(subclass="g"))
+        yield from real_enumerate_class(spec)
+
+    if fault == "is_elevated":
+        never = property(lambda path: False)
+        monkeypatch.setattr(paths.LatticePath, "is_elevated", never)
+    else:
+        monkeypatch.setattr(oracle, "enumerate_class", enumerate_class)
+    report = catalogue(3, "subclass walks are the path-image classes")
+    (check,) = report.checks
+    assert (check.passed, check.detail) == (False, detail)
 
 
 def test_member_domains_stream_their_groups(catalogue):
@@ -97,6 +128,8 @@ def test_each_domain_length_is_enumerated_once(monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_class", enumerate_class)
     run_suite("all", 4)
     centro, c123, c132 = {"centrosymmetric": True}, (1, 2, 3), (1, 3, 2)
+    # the set checks walk each other class they compare a domain with, and
+    # the subclass check each subclass, once per length of their domain
     assert calls == Counter(
         [("_c123", 2 * n) for n in range(5)]
         + [ClassSpec(m, **centro) for m in range(9)]
@@ -104,6 +137,17 @@ def test_each_domain_length_is_enumerated_once(monkeypatch):
         + [ClassSpec(2 * n + 1, **centro, avoid=c123) for n in range(5)]
         + [ClassSpec(n, avoid=c123) for n in range(5)]
         + [ClassSpec(m, **centro, avoid=c132) for m in range(9)]
+        + [ClassSpec(2 * n, **centro, avoid=(3, 2, 1)) for n in range(5)]
+        + [
+            ClassSpec(m, **centro, avoid=pattern)
+            for pattern in ((2, 1, 3), (2, 3, 1), (3, 1, 2))
+            for m in range(9)
+        ]
+        + [
+            ClassSpec(2 * n, **centro, avoid=c123, subclass=name)
+            for name in oracle.SUBCLASSES
+            for n in range(5)
+        ]
     )
 
 
